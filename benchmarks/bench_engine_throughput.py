@@ -15,7 +15,7 @@ writes ``BENCH_engine.json`` so CI can track faults/sec across commits:
                         certification retires most rows, survivors run
                         cache-blocked stacked kernels.
 
-Unfused outcomes are bit-identical across all four (asserted here); the
+Outcomes are bit-identical across all four (asserted here); the
 run aborts if they ever diverge, so a throughput number never ships for
 an engine that changed the science.  The run also aborts if the plan
 engine at batch_size=1 falls below the module engine — the regression
@@ -78,7 +78,7 @@ def sample_faults(engine, count: int, seed: int = 0) -> list[Fault]:
 
 
 def time_engine(engine, faults: list[Fault]) -> tuple[float, list]:
-    # Warm prefix caches and workspaces with one full batch so the timed
+    # Warm prefix caches with one full batch so the timed
     # run measures steady-state throughput.
     engine.classify_many(faults[: max(8, engine.batch_size)])
     start = time.perf_counter()
@@ -182,9 +182,7 @@ def main(argv: list[str] | None = None) -> int:
         )
 
     module_rate = results["module"]["faults_per_sec"]
-    # All four engines run the reference backend here (bit-identity is
-    # asserted above, and only the reference attests it); the stamp keeps
-    # cost-model engine ratios from ever mixing backends.
+    # Stamp the kernels' numpy version beside the rates they measured.
     backend = engines["plan"].backend
     payload = {
         "benchmark": "engine_throughput",

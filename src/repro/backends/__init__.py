@@ -1,111 +1,29 @@
-"""Backend registry and selection.
+"""The reference kernels every engine executes on.
 
-Selection precedence mirrors ``resolve_workers``: an explicit
-``backend=`` argument (name or :class:`Backend` instance) wins, then the
-``REPRO_BACKEND`` environment variable, then the ``numpy`` reference
-backend.  Construction is cached per name — backends are stateless
-kernel tables, so one instance serves every plan in the process.
+One :class:`NumpyBackend` instance is shared by every plan in the
+process — the kernels are stateless, so there is nothing to construct
+per plan.  :func:`resolve_backend` returns that instance.
 """
 
 from __future__ import annotations
 
-import os
-
-from repro.backends.base import (
+from repro.backends.numpy_backend import (
     BACKEND_OP_KINDS,
     BACKEND_PRIMITIVES,
-    Backend,
-    BackendUnavailableError,
+    NumpyBackend,
 )
-from repro.backends.numpy_backend import NumpyBackend
 
-#: Environment variable consulted when no explicit backend is given.
-BACKEND_ENV = "REPRO_BACKEND"
-
-_REGISTRY: dict[str, type[Backend]] = {}
-_INSTANCES: dict[str, Backend] = {}
+_REFERENCE = NumpyBackend()
 
 
-def register_backend(name: str, cls: type[Backend]) -> None:
-    """Register a backend class under *name* (test/plugin hook)."""
-    _REGISTRY[name] = cls
-    _INSTANCES.pop(name, None)
+def resolve_backend(backend: NumpyBackend | None = None) -> NumpyBackend:
+    """*backend* when given, else the shared reference instance."""
+    return _REFERENCE if backend is None else backend
 
-
-def get_backend(name: str) -> Backend:
-    """Construct (or return the cached) backend registered as *name*.
-
-    Raises :class:`BackendUnavailableError` for unknown names and
-    propagates it from backends whose library is not installed.
-    """
-    instance = _INSTANCES.get(name)
-    if instance is not None:
-        return instance
-    cls = _REGISTRY.get(name)
-    if cls is None:
-        raise BackendUnavailableError(
-            f"unknown backend {name!r} (registered: "
-            + ", ".join(sorted(_REGISTRY))
-            + ")"
-        )
-    instance = cls()
-    _INSTANCES[name] = instance
-    return instance
-
-
-def available_backends() -> list[str]:
-    """Registered backend names that construct successfully, sorted."""
-    names = []
-    for name in sorted(_REGISTRY):
-        try:
-            get_backend(name)
-        except BackendUnavailableError:
-            continue
-        names.append(name)
-    return names
-
-
-def resolve_backend(backend: Backend | str | None = None) -> Backend:
-    """Resolve a backend: explicit argument, then env var, then numpy.
-
-    Accepts a :class:`Backend` instance (passed through), a registered
-    name, or ``None`` — which consults ``REPRO_BACKEND`` and defaults to
-    the reference backend.
-    """
-    if isinstance(backend, Backend):
-        return backend
-    if backend is None:
-        backend = os.environ.get(BACKEND_ENV, "").strip() or "numpy"
-    return get_backend(backend)
-
-
-def backend_attestation(backend: Backend | str | None = None) -> dict:
-    """The resolved backend's attestation record (see ``Backend.attestation``)."""
-    return resolve_backend(backend).attestation()
-
-
-def _register_builtin() -> None:
-    register_backend("numpy", NumpyBackend)
-    # Registering the class is free: the Array-API library probe runs at
-    # construction, so unavailability surfaces as a
-    # BackendUnavailableError from get_backend(), never at import time.
-    from repro.backends.array_api import ArrayApiBackend
-
-    register_backend("array_api", ArrayApiBackend)
-
-
-_register_builtin()
 
 __all__ = [
-    "BACKEND_ENV",
     "BACKEND_OP_KINDS",
     "BACKEND_PRIMITIVES",
-    "Backend",
-    "BackendUnavailableError",
     "NumpyBackend",
-    "available_backends",
-    "backend_attestation",
-    "get_backend",
-    "register_backend",
     "resolve_backend",
 ]

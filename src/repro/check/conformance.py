@@ -8,22 +8,17 @@ attested structurally (``check_plan_vectorized`` declares the
 fingerprints compatible) — this check runs both engines over the same
 campaign-representative fault sample and compares the full per-fault
 prediction matrices and classified outcomes row by row.  The module
-engine (bit-identical by the capture contract) and the fused engine
-(numeric-changing by design; executed and reported, never gated) ride
-along, so all four engines exercise the backend interface per run.
-With ``backend=`` set to a non-reference backend, the comparison is
-instead that backend's plan engine against the reference plan engine,
-judged by *tolerance* (their fingerprints differ by construction, so no
-bit-exactness is attested).
+engine (bit-identical by the capture contract) rides along, so all
+three engine kinds are checked per run.
 
 **Op level** (:func:`run_op_conformance`): the op_db registry
 (:mod:`repro.check.opdb`) supplies deterministic samples per op kind;
-every registered backend runs every sample under three checks —
-cross-backend agreement at the backend's declared tolerance class,
-falsification of claimed batch-invariance (stacked vs separate runs
-must match bitwise), and reference plan-vs-module equivalence.  A
-backend that mis-declares either trait fails here, which is what the
-mutation tests assert.
+the reference kernels (and any kernel-class instance handed in) run
+every sample under three checks — agreement with the reference at the
+instance's declared tolerance class, falsification of claimed
+batch-invariance (stacked vs separate runs must match bitwise), and
+reference plan-vs-module equivalence.  An instance that mis-declares
+either trait fails here, which is what the mutation tests assert.
 
 A *flip* is any (fault, image) cell where the two engines predict
 different classes; an *outcome flip* is a fault whose campaign
@@ -44,7 +39,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 if TYPE_CHECKING:
-    from repro.backends import Backend
+    from repro.backends import NumpyBackend
     from repro.check.opdb import BuiltSample
     from repro.nn.module import Module
     from repro.runtime import PlanEngine
@@ -74,15 +69,9 @@ class ConformanceReport:
     ok: bool
     #: Fault indices of out-of-tolerance outcome flips (first 32).
     flipped_faults: tuple[int, ...] = field(default=())
-    #: Kernel backend of the engine under test ("numpy" = reference).
-    backend: str = "numpy"
     #: Module-engine (fault, image) cells differing from the exact plan
-    #: engine; None when the module engine did not run.
-    module_prediction_flips: int | None = None
-    #: Fused-engine outcome flips vs the exact plan engine — reported,
-    #: never gated (BN-folding is numeric-changing by design); None when
-    #: the fused engine did not run.
-    fused_outcome_flips: int | None = None
+    #: engine.
+    module_prediction_flips: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -98,9 +87,7 @@ class ConformanceReport:
             "survivor_rows": self.survivor_rows,
             "ok": self.ok,
             "flipped_faults": list(self.flipped_faults),
-            "backend": self.backend,
             "module_prediction_flips": self.module_prediction_flips,
-            "fused_outcome_flips": self.fused_outcome_flips,
         }
 
 
@@ -140,9 +127,6 @@ def run_conformance(
     seed: int = 0,
     tolerance: float = 0.0,
     batch_size: int = 16,
-    backend: str | None = None,
-    include_module: bool | None = None,
-    include_fused: bool | None = None,
 ) -> ConformanceReport:
     """Compare engines fault by fault over one campaign-representative sample.
 
@@ -150,16 +134,11 @@ def run_conformance(
     reference checkpoint is used, training it first if absent) or an
     already-built :class:`~repro.nn.module.Module`.
 
-    With the default (reference) *backend*, the engine under test is the
-    vectorized engine against the exact plan engine, plus — unless
-    disabled — a module-engine bit-identity check (gating) and a
-    fused-engine run (reported only).  With a non-reference *backend*,
-    the engine under test is that backend's plan engine; flips are
-    judged against *tolerance* alone.
+    The engine under test is the vectorized engine against the exact
+    plan engine, plus a module-engine bit-identity check (gating).
     """
     # Lazy: check is imported by runtime's plan layer; the engines pull
     # in the whole runtime stack.
-    from repro.backends import resolve_backend
     from repro.data import SynthCIFAR
     from repro.runtime import PlanEngine, VectorizedPlanEngine
 
@@ -174,26 +153,13 @@ def run_conformance(
     else:
         name = type(model).__name__
 
-    resolved = resolve_backend(backend)
-    reference_run = resolved.is_reference
-    if include_module is None:
-        include_module = reference_run
-    if include_fused is None:
-        include_fused = reference_run
-
     data = SynthCIFAR("test", size=eval_size, seed=1234)
     exact = PlanEngine(
         model, data.images, data.labels, batch_size=batch_size
     )
-    if reference_run:
-        under_test = VectorizedPlanEngine(
-            model, data.images, data.labels, batch_size=batch_size
-        )
-    else:
-        under_test = PlanEngine(
-            model, data.images, data.labels, batch_size=batch_size,
-            backend=resolved,
-        )
+    under_test = VectorizedPlanEngine(
+        model, data.images, data.labels, batch_size=batch_size
+    )
     from repro.check.plan import fingerprints_compatible
 
     attested = fingerprints_compatible(
@@ -220,25 +186,12 @@ def run_conformance(
         not attested or prediction_flips == 0
     )
 
-    module_flips = None
-    if include_module:
-        from repro.faults.engine import InferenceEngine
+    from repro.faults.engine import InferenceEngine
 
-        module_engine = InferenceEngine(model, data.images, data.labels)
-        preds_module = np.asarray(module_engine.predictions_for_faults(sample))
-        module_flips = int((preds_module != np.asarray(preds_exact)).sum())
-        ok = ok and module_flips == 0
-
-    fused_flips = None
-    if include_fused:
-        fused_engine = PlanEngine(
-            model, data.images, data.labels, batch_size=batch_size,
-            fuse=True,
-        )
-        outcomes_fused = fused_engine.classify_many(sample)
-        fused_flips = sum(
-            1 for a, b in zip(outcomes_exact, outcomes_fused) if a != b
-        )
+    module_engine = InferenceEngine(model, data.images, data.labels)
+    preds_module = np.asarray(module_engine.predictions_for_faults(sample))
+    module_flips = int((preds_module != np.asarray(preds_exact)).sum())
+    ok = ok and module_flips == 0
 
     return ConformanceReport(
         model=name,
@@ -253,9 +206,7 @@ def run_conformance(
         survivor_rows=getattr(under_test, "survivor_rows", 0),
         ok=ok,
         flipped_faults=tuple(flipped[:32]),
-        backend=resolved.name,
         module_prediction_flips=module_flips,
-        fused_outcome_flips=fused_flips,
     )
 
 
@@ -285,7 +236,7 @@ class OpConformanceResult:
         }
 
 
-def _run_built(backend: Backend, built: BuiltSample) -> Any:
+def _run_built(backend: NumpyBackend, built: BuiltSample) -> Any:
     """Execute one built op_db sample on *backend*."""
     if built.op is not None:
         return backend.run_op(built.op, built.inputs)
@@ -312,14 +263,14 @@ def _outputs_agree(out: Any, ref_out: Any, tolerance_class: str) -> tuple[bool, 
     return False, f"max abs error {err:.3g} beyond relative tolerance"
 
 
-def _claims_invariance(backend: Backend, built: BuiltSample) -> bool:
+def _claims_invariance(backend: NumpyBackend, built: BuiltSample) -> bool:
     if built.op is not None:
         return bool(backend.batch_invariant(built.op))
     return backend.OP_INVARIANCE[built.kind] == "always"
 
 
 def _check_batch_invariance(
-    backend: Backend, built: BuiltSample, rng: np.random.Generator
+    backend: NumpyBackend, built: BuiltSample, rng: np.random.Generator
 ) -> tuple[bool, str]:
     """Falsify a claimed invariance: stacked run must bit-equal split runs.
 
@@ -364,29 +315,22 @@ def _check_batch_invariance(
 
 def run_op_conformance(
     *,
-    backends: list[str | Backend] | None = None,
+    backends: list[NumpyBackend] | None = None,
     kinds: list[str] | None = None,
     seed: int = 0,
 ) -> list[OpConformanceResult]:
-    """Run the op_db suite: every sample × every backend × every check.
+    """Run the op_db suite: every sample × every instance × every check.
 
-    *backends* is a list of backend names or instances (default: every
-    registered backend that constructs — graceful degradation for
-    optional libraries); *kinds* restricts the op kinds.  Returns one
+    *backends* is a list of kernel-class instances (default: the shared
+    reference instance); *kinds* restricts the op kinds.  Returns one
     :class:`OpConformanceResult` per executed check; a mis-declared
     tolerance or batch-invariance class surfaces as ``ok=False`` rows.
     """
-    from repro.backends import Backend, available_backends, get_backend
+    from repro.backends import resolve_backend
     from repro.check.opdb import OP_SAMPLES
 
-    reference = get_backend("numpy")
-    if backends is None:
-        resolved = [get_backend(name) for name in available_backends()]
-    else:
-        resolved = [
-            entry if isinstance(entry, Backend) else get_backend(entry)
-            for entry in backends
-        ]
+    reference = resolve_backend()
+    resolved = [reference] if backends is None else list(backends)
     selected = sorted(OP_SAMPLES) if kinds is None else [
         kind for kind in sorted(OP_SAMPLES) if kind in set(kinds)
     ]

@@ -29,7 +29,7 @@ from repro.check.kernels import (
     param_dtype_issues,
 )
 from repro.nn.module import Module
-from repro.runtime.plan import FUSED_OP_KINDS, OP_KINDS, ExecutionPlan
+from repro.runtime.plan import OP_KINDS, ExecutionPlan
 
 #: Default abstract input: one CIFAR sample (all zoo models take 32x32x3).
 DEFAULT_INPUT_SHAPE = (3, 32, 32)
@@ -110,9 +110,7 @@ def _params_signature(params: dict) -> list:
     return out
 
 
-def plan_fingerprint(
-    plan: ExecutionPlan, *, mode: str = "exact", backend: str | None = None
-) -> str:
+def plan_fingerprint(plan: ExecutionPlan, *, mode: str = "exact") -> str:
     """Structural sha256 of *plan* (ops, slots, flags — not weight values).
 
     Weight *values* are covered by the engine fingerprint; this one pins
@@ -121,23 +119,15 @@ def plan_fingerprint(
     the execution strategy the fingerprint attests: ``"exact"`` (the
     default, hash-stable with earlier releases) or ``"vectorized"`` —
     the variant-axis certified mode runs the same plan under a distinct
-    fingerprint, exactly as fusions already do.
-
-    The kernel backend qualifies the fingerprint the same way: a
-    non-reference backend's attestation (name, version, per-op
-    invariance + tolerance classes — see
-    :meth:`repro.backends.Backend.attestation`) is folded into the
-    payload, so shards computed under different backends can never
-    silently merge.  Reference-backend plans hash exactly as before.
-    *backend* defaults to the plan's own ``backend`` attribute.
+    fingerprint.
     """
-    if backend is None:
-        backend = getattr(plan, "backend", None)
     payload = {
         "num_slots": plan.num_slots,
         "input_slot": plan.input_slot,
         "output_slot": plan.output_slot,
-        "fusions": list(plan.fusions),
+        # Constant: keeps checkpoints, queues and shard stamps written
+        # while fusion still existed valid.
+        "fusions": [],
         "ops": [
             [
                 op.kind,
@@ -152,8 +142,6 @@ def plan_fingerprint(
     }
     if mode != "exact":
         payload["mode"] = mode
-    if backend is not None and not backend.is_reference:
-        payload["backend"] = backend.attestation()
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -188,7 +176,6 @@ def verify_plan(
         err("P103", f"input slot {plan.input_slot} out of range")
         return diags
 
-    known_kinds = OP_KINDS | (FUSED_OP_KINDS if plan.fusions else frozenset())
     defined: dict[int, int] = {plan.input_slot: -1}  # slot -> producing op
     shapes: dict[int, tuple[int, ...] | None] = {plan.input_slot: tuple(input_shape)}
     structural_errors = False
@@ -197,15 +184,8 @@ def verify_plan(
         if op.index != position:
             err("P102", f"op.index {op.index} != position {position}", position)
             structural_errors = True
-        if op.kind not in known_kinds:
-            if op.kind in FUSED_OP_KINDS:
-                err(
-                    "P101",
-                    f"fused kind {op.kind!r} in a plan with no declared fusions",
-                    op.index,
-                )
-            else:
-                err("P101", f"unknown op kind {op.kind!r}", op.index)
+        if op.kind not in OP_KINDS:
+            err("P101", f"unknown op kind {op.kind!r}", op.index)
             structural_errors = True
 
         for slot in op.inputs:
@@ -233,7 +213,7 @@ def verify_plan(
 
         spec = KERNEL_TABLE.get(op.kind)
         if spec is None:
-            if op.kind in known_kinds:
+            if op.kind in OP_KINDS:
                 err(
                     "P121",
                     f"kind {op.kind!r} has no row in the kernel "
@@ -383,24 +363,12 @@ def verify_plan_vectorized(
 ) -> list[Diagnostic]:
     """Diagnostics for running *plan* under the vectorized mode.
 
-    On top of every exact-mode check, the vectorized certifier needs (a)
-    an unfused plan — its no-flip certificates and the bit-identity
-    declaration are stated against exact numerics (``P122``) — and (b)
-    an absorption row for every op so fault-propagation bounds exist;
-    ops without one only disable certification beyond them (``P123``,
+    On top of every exact-mode check, the vectorized certifier needs an
+    absorption row for every op so fault-propagation bounds exist; ops
+    without one only disable certification beyond them (``P123``,
     warning: correct but no speedup).
     """
     diags = verify_plan(plan, input_shape=input_shape)
-    if plan.fusions:
-        diags.append(
-            Diagnostic(
-                "P122",
-                "error",
-                f"plan declares fusions {list(plan.fusions)}; vectorized "
-                "certification is only sound against the exact unfused "
-                "numerics",
-            )
-        )
     shapes = _abstract_shapes(plan, input_shape)
     for op in plan.ops:
         in_shape = shapes.get(op.inputs[0]) if op.inputs else None

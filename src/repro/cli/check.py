@@ -3,8 +3,7 @@
 Three subcommands:
 
 - ``repro-check plan`` — capture and verify execution plans for
-  registered models (``--all-models`` covers the zoo, fused and
-  unfused).  Exit 1 if any plan has errors; ``--strict`` also fails on
+  registered models (``--all-models`` covers the zoo).  Exit 1 if any plan has errors; ``--strict`` also fails on
   warnings.  ``--timings-out`` records per-plan verifier wall time.
 - ``repro-check lint`` — run the determinism rules (D201–D206) over
   source paths, honouring ``# repro-check: ignore[RULE]`` suppressions
@@ -12,10 +11,9 @@ Three subcommands:
   current findings.
 - ``repro-check conform`` — run the vectorized-vs-exact conformance
   suite (:func:`repro.check.run_conformance`) on reference models;
-  exit 1 on any out-of-tolerance outcome flip.  ``--backend`` checks a
-  non-reference kernel backend against the exact engine; ``--ops``
-  runs the op_db per-kernel suite (:func:`repro.check.run_op_conformance`)
-  over every op kind on every available backend instead.
+  exit 1 on any out-of-tolerance outcome flip.  ``--ops`` runs the
+  op_db per-kernel suite (:func:`repro.check.run_op_conformance`) over
+  every op kind on the reference kernels instead.
 - ``repro-check protocol`` — verify the distributed queue protocol:
   the static filesystem-effect pass (Q301–Q306) over the real
   ``repro.dist`` source, then the crash-interleaving model checker
@@ -65,12 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--all-models",
         action="store_true",
         help="verify every registered model",
-    )
-    plan.add_argument(
-        "--fuse",
-        choices=["unfused", "fused", "both"],
-        default="both",
-        help="which plan variants to verify (default: both)",
     )
     plan.add_argument(
         "--strict",
@@ -139,16 +131,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the per-model conformance reports to this file",
     )
     conform.add_argument(
-        "--backend",
-        default=None,
-        help="kernel backend under test (default: REPRO_BACKEND or numpy)",
-    )
-    conform.add_argument(
         "--ops",
         action="store_true",
         help="run the op_db per-kernel conformance suite instead of the "
-        "model-level engine suite (covers every op kind on every "
-        "available backend, or just --backend when given)",
+        "model-level engine suite (covers every op kind)",
     )
 
     protocol = sub.add_parser(
@@ -206,46 +192,38 @@ def _cmd_plan(args) -> int:
             file=sys.stderr,
         )
         return 2
-    variants = {
-        "unfused": [False],
-        "fused": [True],
-        "both": [False, True],
-    }[args.fuse]
     failed = False
     timings = []
     for name in names:
-        for fuse in variants:
-            model = create_model(name)
-            # capture_plan verifies internally; verify again explicitly
-            # to report diagnostics (including warnings) and wall time.
-            plan = capture_plan(model, fuse=fuse)
-            start = time.perf_counter()
-            diagnostics = verify_plan(plan)
-            seconds = time.perf_counter() - start
-            errors = [d for d in diagnostics if d.severity == "error"]
-            warnings = [d for d in diagnostics if d.severity == "warning"]
-            verdict = "ok"
-            if errors or (args.strict and warnings):
-                verdict = "FAIL"
-                failed = True
-            elif warnings:
-                verdict = "warn"
-            print(
-                f"{verdict:4s} {name:18s} fused={str(fuse):5s} "
-                f"ops={len(plan):3d} verify={1e3 * seconds:6.2f} ms"
-            )
-            for diagnostic in diagnostics:
-                print(f"     {diagnostic}")
-            timings.append(
-                {
-                    "model": name,
-                    "fused": fuse,
-                    "ops": len(plan),
-                    "verify_seconds": seconds,
-                    "errors": len(errors),
-                    "warnings": len(warnings),
-                }
-            )
+        # capture_plan verifies internally; verify again explicitly to
+        # report diagnostics (including warnings) and wall time.
+        plan = capture_plan(create_model(name))
+        start = time.perf_counter()
+        diagnostics = verify_plan(plan)
+        seconds = time.perf_counter() - start
+        errors = [d for d in diagnostics if d.severity == "error"]
+        warnings = [d for d in diagnostics if d.severity == "warning"]
+        verdict = "ok"
+        if errors or (args.strict and warnings):
+            verdict = "FAIL"
+            failed = True
+        elif warnings:
+            verdict = "warn"
+        print(
+            f"{verdict:4s} {name:18s} "
+            f"ops={len(plan):3d} verify={1e3 * seconds:6.2f} ms"
+        )
+        for diagnostic in diagnostics:
+            print(f"     {diagnostic}")
+        timings.append(
+            {
+                "model": name,
+                "ops": len(plan),
+                "verify_seconds": seconds,
+                "errors": len(errors),
+                "warnings": len(warnings),
+            }
+        )
     if args.timings_out:
         payload = {
             "plans": timings,
@@ -297,7 +275,6 @@ def _cmd_conform(args) -> int:
             faults=args.faults,
             seed=args.seed,
             tolerance=args.tolerance,
-            backend=args.backend,
         )
         reports.append(report)
         verdict = "ok" if report.ok else "FAIL"
@@ -306,7 +283,7 @@ def _cmd_conform(args) -> int:
             f"tolerance={report.tolerance}"
         )
         print(
-            f"{verdict:4s} {report.model:18s} backend={report.backend} "
+            f"{verdict:4s} {report.model:18s} "
             f"faults={report.faults:4d} "
             f"flips={report.outcome_flips}/{report.faults} "
             f"cells={report.prediction_flips} [{attest}] "
@@ -325,14 +302,8 @@ def _cmd_conform(args) -> int:
 def _cmd_conform_ops(args) -> int:
     from repro.check.conformance import run_op_conformance
 
-    backends = [args.backend] if args.backend else None
-    results = run_op_conformance(backends=backends, seed=args.seed)
+    results = run_op_conformance(seed=args.seed)
     failures = [r for r in results if not r.ok]
-    per_backend: dict[str, int] = {}
-    for result in results:
-        per_backend[result.backend] = per_backend.get(result.backend, 0) + 1
-    for name in sorted(per_backend):
-        print(f"backend {name}: {per_backend[name]} check(s)")
     for result in failures:
         print(
             f"FAIL {result.backend}/{result.kind} sample={result.sample} "

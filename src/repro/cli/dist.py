@@ -102,10 +102,6 @@ def _build_engine(runtime: dict, *, telemetry=None):
         # "engine" key; they were computed by the module engine.
         kind=runtime.get("engine", "module"),
         policy=runtime.get("policy", "accuracy_drop"),
-        fuse=bool(runtime.get("fuse", False)),
-        # Queues without a "backend" key predate kernel backends (or were
-        # submitted on the reference); the worker's env still applies.
-        backend=runtime.get("backend"),
         telemetry=telemetry,
     )
     return engine, FaultSpace(engine.layers)
@@ -150,21 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         default="plan",
         choices=("plan", "plan_vectorized", "module"),
-        help="execution engine; unfused plan, vectorized and module "
-        "outcomes are bit-identical (default: plan)",
-    )
-    submit.add_argument(
-        "--fuse",
-        action="store_true",
-        help="enable the plan engine's numeric-changing fusions "
-        "(BN-folding, workspace reuse); changes the campaign fingerprint",
-    )
-    submit.add_argument(
-        "--backend",
-        default=None,
-        help="kernel backend (default: REPRO_BACKEND or the numpy "
-        "reference); a non-reference backend's attestation joins the "
-        "campaign fingerprint and workers rebuild with the same backend",
+        help="execution engine; plan, vectorized and module outcomes "
+        "are bit-identical (default: plan)",
     )
     submit.add_argument(
         "--shards", type=int, default=4, help="shard count (default: 4)"
@@ -270,14 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
         "different engine than the campaign was submitted with; "
         "accepted only when the verifier attests both engines' "
         "fingerprints outcome-compatible",
-    )
-    work.add_argument(
-        "--backend",
-        default=None,
-        help="exhaustive campaigns: run this worker's shards on a "
-        "different kernel backend than the campaign was submitted "
-        "with; refused unless the two backend-qualified plan "
-        "fingerprints were declared outcome-compatible",
     )
     work.add_argument(
         "--heartbeat-interval",
@@ -412,8 +387,6 @@ def _cmd_submit(args) -> int:
             "eval_size": args.eval_size,
             "policy": args.policy,
             "engine": args.engine,
-            "fuse": args.fuse,
-            "backend": args.backend,
         }
     )
     runtime = {
@@ -421,14 +394,8 @@ def _cmd_submit(args) -> int:
         "eval_size": args.eval_size,
         "policy": args.policy,
         "engine": args.engine,
-        "fuse": bool(args.fuse),
         "golden_accuracy": engine.golden_accuracy,
     }
-    engine_backend = getattr(engine, "backend", None)
-    if engine_backend is not None and not engine_backend.is_reference:
-        # Pin the resolved backend by name so every worker rebuilds with
-        # it regardless of the worker host's own REPRO_BACKEND.
-        runtime["backend"] = engine_backend.name
     if getattr(engine, "plan_fingerprint", None) is not None:
         # Pin the verified plan structure: the merge refuses shard
         # results that do not attest this fingerprint.
@@ -514,8 +481,6 @@ def _cmd_work(args) -> int:
     if config["kind"] == "exhaustive":
         if args.engine:
             runtime = dict(runtime, engine=args.engine)
-        if args.backend:
-            runtime = dict(runtime, backend=args.backend)
         engine, space = _build_engine(runtime, telemetry=telemetry)
         expected_plan = campaign.get("runtime", {}).get("plan_sha256")
         rebuilt_plan = getattr(engine, "plan_fingerprint", None)
@@ -536,11 +501,10 @@ def _cmd_work(args) -> int:
         context = ExhaustiveContext(engine, space)
         verify_context_config(context, config)
     else:
-        if args.engine or args.backend:
+        if args.engine:
             raise DistError(
-                "--engine/--backend only apply to exhaustive campaigns; "
-                "sampled workers replay or inject under the submitted "
-                "engine and backend"
+                "--engine only applies to exhaustive campaigns; sampled "
+                "workers replay or inject under the submitted engine"
             )
         engine, space = _build_engine(runtime, telemetry=telemetry)
         plan = _build_plan(runtime, space)
@@ -569,8 +533,6 @@ def _cmd_work(args) -> int:
                 eval_size=int(runtime["eval_size"]),
                 policy=runtime.get("policy", "accuracy_drop"),
                 engine_kind=runtime.get("engine", "module"),
-                fuse=bool(runtime.get("fuse", False)),
-                backend=runtime.get("backend"),
                 telemetry=telemetry,
             )
             oracle = TableOracle(table, space)

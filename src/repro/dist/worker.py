@@ -90,7 +90,7 @@ def resolve_heartbeat_interval(interval: float | None = None) -> float:
     return max(0.0, float(interval))
 
 
-def _plan_attestation(fingerprint: str, backend: Any = None) -> dict:
+def _plan_attestation(fingerprint: str) -> dict:
     """Worker-side plan stamp embedded in every completed shard result.
 
     Beside the fingerprint and its verification bit, the stamp carries
@@ -99,11 +99,6 @@ def _plan_attestation(fingerprint: str, backend: Any = None) -> dict:
     to its exact twin).  The compatibility registry is process-local, so
     without the shard carrying it a standalone merge could never accept
     a mixed-engine fleet.
-
-    A non-reference kernel *backend* additionally stamps its name and
-    version — the fingerprint already folds the full attestation, the
-    explicit stamp is for human-readable refusal messages and
-    ``repro-stats`` display.  Reference-backend stamps are unchanged.
     """
     from repro.check import compatible_fingerprints, is_plan_verified
 
@@ -114,8 +109,6 @@ def _plan_attestation(fingerprint: str, backend: Any = None) -> dict:
     compatible = compatible_fingerprints(fingerprint)
     if compatible:
         meta["plan_compatible_with"] = list(compatible)
-    if backend is not None and not backend.is_reference:
-        meta["backend"] = {"name": backend.name, "version": backend.version}
     return meta
 
 
@@ -154,9 +147,7 @@ class ExhaustiveContext:
         fingerprint = getattr(self.engine, "plan_fingerprint", None)
         if fingerprint is None:
             return {}
-        return _plan_attestation(
-            fingerprint, backend=getattr(self.engine, "backend", None)
-        )
+        return _plan_attestation(fingerprint)
 
     def run_shard(
         self,
@@ -198,9 +189,7 @@ class SampledContext:
         fingerprint = getattr(engine, "plan_fingerprint", None)
         if fingerprint is None:
             return {}
-        return _plan_attestation(
-            fingerprint, backend=getattr(engine, "backend", None)
-        )
+        return _plan_attestation(fingerprint)
 
     def run_shard(
         self,

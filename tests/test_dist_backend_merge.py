@@ -1,11 +1,11 @@
-"""Cross-backend shard mixing at the distributed merge boundary.
+"""Shards stamped by a non-reference kernel backend at the merge boundary.
 
-A non-reference kernel backend folds its attestation into the plan
-fingerprint, so its shards carry a different fingerprint than the
-reference campaign's.  The merge must refuse them — different backends
-are different numerics — unless a verification pass explicitly declared
-the two fingerprints outcome-compatible.  Campaigns submitted before
-attestation existed keep merging untouched.
+Earlier releases could run shards on a non-reference kernel backend,
+which folded its attestation into the plan fingerprint and stamped its
+name into each shard result.  Such shards are input from disk now: the
+merge must keep refusing them against a reference campaign, and
+campaigns submitted before plan attestation existed keep merging
+untouched.  Reference stamps never carry a backend entry.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backends import NumpyBackend
-from repro.check import declare_fingerprints_compatible
 from repro.data import SynthCIFAR
 from repro.dist import (
     ExhaustiveContext,
@@ -30,17 +28,14 @@ from repro.ieee754 import FLOAT16
 from repro.models import ResNetCIFAR
 from repro.runtime import PlanEngine
 
-
-class _ShiftedBackend(NumpyBackend):
-    """Reference numerics under a non-reference identity.
-
-    Numerically identical to numpy (so real classification works), but
-    ``is_reference=False`` means its attestation joins the plan
-    fingerprint — the merge sees a genuinely foreign identity.
-    """
-
-    name = "shifted"
-    is_reference = False
+#: A shard stamp as a non-reference backend wrote it: a backend-qualified
+#: plan fingerprint (any value other than the reference plan's) plus the
+#: backend's name and version.
+LEGACY_BACKEND_STAMP = {
+    "plan_sha256": "5787d56cedfd65d8501b539a5eabd87cdcc64ac16f23943364d633b32b89607d",
+    "plan_verified": True,
+    "backend": {"name": "shifted", "version": np.__version__},
+}
 
 
 @pytest.fixture(scope="module")
@@ -49,15 +44,8 @@ def backend_setup():
     model.eval()
     data = SynthCIFAR("test", size=8, seed=42)
     reference = PlanEngine(model, data.images, data.labels, fmt=FLOAT16)
-    shifted = PlanEngine(
-        model,
-        data.images,
-        data.labels,
-        fmt=FLOAT16,
-        backend=_ShiftedBackend(),
-    )
     space = FaultSpace(reference.layers, fmt=FLOAT16)
-    return reference, shifted, space
+    return reference, space
 
 
 def zero_arrays(spec, config):
@@ -79,21 +67,8 @@ def submitted_queue(tmp_path, engine, space, *, runtime, shards=2):
 
 
 class TestBackendIdentity:
-    def test_backend_changes_the_plan_fingerprint(self, backend_setup):
-        reference, shifted, _space = backend_setup
-        assert shifted.plan_fingerprint != reference.plan_fingerprint
-
-    def test_shifted_stamp_carries_backend(self, backend_setup):
-        reference, shifted, space = backend_setup
-        stamp = ExhaustiveContext(shifted, space).attestation()
-        assert stamp["backend"] == {
-            "name": "shifted",
-            "version": np.__version__,
-        }
-        assert stamp["plan_verified"] is True
-
     def test_reference_stamp_has_no_backend_key(self, backend_setup):
-        reference, _shifted, space = backend_setup
+        reference, space = backend_setup
         stamp = ExhaustiveContext(reference, space).attestation()
         assert "backend" not in stamp
 
@@ -102,58 +77,31 @@ class TestCrossBackendMerge:
     def test_undeclared_cross_backend_shard_refused(
         self, backend_setup, tmp_path
     ):
-        reference, shifted, space = backend_setup
+        reference, space = backend_setup
         queue, config, specs = submitted_queue(
             tmp_path, reference, space,
             runtime=plan_attestation_runtime(reference),
         )
         ref_stamp = ExhaustiveContext(reference, space).attestation()
-        foreign = dict(ExhaustiveContext(shifted, space).attestation())
-        # Strip any compatibility other tests may have declared in this
-        # process: the refusal must hold on the fingerprints alone.
-        foreign.pop("plan_compatible_with", None)
         queue.complete(specs[0], zero_arrays(specs[0], config), meta=ref_stamp)
-        queue.complete(specs[1], zero_arrays(specs[1], config), meta=foreign)
-        from repro.check import plan as check_plan_mod
-
-        saved = check_plan_mod._COMPATIBLE_FINGERPRINTS
-        check_plan_mod._COMPATIBLE_FINGERPRINTS = {}
-        try:
-            with pytest.raises(MergeError, match="does not attest"):
-                merge_exhaustive(queue)
-        finally:
-            check_plan_mod._COMPATIBLE_FINGERPRINTS = saved
-
-    def test_declared_compatible_shard_accepted(
-        self, backend_setup, tmp_path
-    ):
-        reference, shifted, space = backend_setup
-        queue, config, specs = submitted_queue(
-            tmp_path, reference, space,
-            runtime=plan_attestation_runtime(reference),
+        queue.complete(
+            specs[1], zero_arrays(specs[1], config), meta=LEGACY_BACKEND_STAMP
         )
-        declare_fingerprints_compatible(
-            shifted.plan_fingerprint, reference.plan_fingerprint
-        )
-        ref_stamp = ExhaustiveContext(reference, space).attestation()
-        foreign = ExhaustiveContext(shifted, space).attestation()
-        assert reference.plan_fingerprint in foreign["plan_compatible_with"]
-        queue.complete(specs[0], zero_arrays(specs[0], config), meta=ref_stamp)
-        queue.complete(specs[1], zero_arrays(specs[1], config), meta=foreign)
-        table = merge_exhaustive(queue)
-        assert table.num_layers == len(config["layer_sizes"])
+        with pytest.raises(MergeError, match="does not attest"):
+            merge_exhaustive(queue)
 
     def test_legacy_campaign_merges_without_backend_attestation(
         self, backend_setup, tmp_path
     ):
         # Queues submitted before plan/backend attestation carry no
-        # plan_sha256; cross-backend stamps must not break their merge.
-        reference, shifted, space = backend_setup
+        # plan_sha256; backend stamps must not break their merge.
+        reference, space = backend_setup
         queue, config, specs = submitted_queue(
             tmp_path, reference, space, runtime={},
         )
-        foreign = ExhaustiveContext(shifted, space).attestation()
         for spec in specs:
-            queue.complete(spec, zero_arrays(spec, config), meta=foreign)
+            queue.complete(
+                spec, zero_arrays(spec, config), meta=LEGACY_BACKEND_STAMP
+            )
         table = merge_exhaustive(queue)
         assert table.num_layers == len(config["layer_sizes"])

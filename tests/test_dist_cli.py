@@ -110,3 +110,40 @@ class TestSampledRoundTrip:
         assert dist_main(["submit", root, *different]) == 2
         err = capsys.readouterr().err
         assert "different config fingerprint" in err
+
+
+class TestLegacyQueues:
+    #: Structural plan fingerprints of resnet8_mini as recorded by the
+    #: last release with ``--fuse`` and ``--backend``: the BN-folded plan,
+    #: and the plan qualified by a non-reference backend's attestation.
+    FUSED_PLAN = "b804167cd53015c4f703253234b79344aabbe923fcf3487319e44871d695d424"
+    BACKEND_PLAN = "5787d56cedfd65d8501b539a5eabd87cdcc64ac16f23943364d633b32b89607d"
+
+    def test_work_refuses_queue_recorded_with_fuse_or_backend(
+        self, tmp_path, capsys
+    ):
+        """A queue whose runtime records ``fuse: true`` or a ``backend``
+        entry is refused by the plan-fingerprint check before any shard
+        is claimed — never rerun on the reference numerics."""
+        root = tmp_path / "q"
+        submit = [
+            "submit", str(root), "--kind", "exhaustive",
+            "--model", "resnet8_mini", "--eval-size", "8", "--shards", "2",
+        ]
+        assert dist_main(submit) == 0
+        capsys.readouterr()
+        campaign_path = root / "campaign.json"
+        record = json.loads(campaign_path.read_text())
+        runtime = record["runtime"]
+        for legacy in (
+            {"fuse": True, "plan_sha256": self.FUSED_PLAN},
+            {"backend": "shifted", "plan_sha256": self.BACKEND_PLAN},
+        ):
+            record["runtime"] = dict(runtime, **legacy)
+            campaign_path.write_text(json.dumps(record))
+            assert dist_main(["work", str(root), "--no-wait"]) == 2
+            assert "execution-plan mismatch" in capsys.readouterr().err
+            assert dist_main(["status", str(root), "--json"]) == 0
+            status = json.loads(capsys.readouterr().out)
+            assert len(status["pending"]) == 2
+            assert not status["leased"] and not status["done"]

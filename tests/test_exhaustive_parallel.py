@@ -19,6 +19,7 @@ from repro.data import SynthCIFAR
 from repro.faults import FaultSpace, InferenceEngine, OutcomeTable
 from repro.ieee754 import FLOAT16
 from repro.models import ResNetCIFAR
+from repro.telemetry import Telemetry
 
 
 @pytest.fixture(scope="module")
@@ -63,10 +64,10 @@ class TestParallelExhaustive:
             engine,
             space,
             workers=2,
-            progress=lambda done, total: calls.append((done, total)),
+            telemetry=_progress_recorder(calls),
             progress_every=1,
         )
-        assert calls, "progress callback never fired"
+        assert calls, "no progress event was emitted"
         dones = [done for done, _ in calls]
         assert dones == sorted(dones)
         assert calls[-1] == (space.total_population, space.total_population)
@@ -88,13 +89,25 @@ class TestParallelExhaustive:
         assert parallel_elapsed < serial_elapsed / 1.5
 
 
+def _progress_recorder(calls: list) -> Telemetry:
+    """Telemetry appending ``(done, total)`` of every progress event."""
+
+    def on_event(event) -> None:
+        if event.type == "progress":
+            calls.append((event.fields["done"], event.fields["total"]))
+
+    return Telemetry(on_event=on_event)
+
+
 class _KillAfter:
-    """Progress callback that simulates a crash after *n* reports."""
+    """Telemetry hook that simulates a crash at the *n*-th progress event."""
 
     def __init__(self, n: int) -> None:
         self.remaining = n
 
-    def __call__(self, done: int, total: int) -> None:
+    def __call__(self, event) -> None:
+        if event.type != "progress":
+            return
         self.remaining -= 1
         if self.remaining <= 0:
             raise KeyboardInterrupt("simulated kill")
@@ -111,7 +124,7 @@ class TestCheckpointResume:
                 engine,
                 space,
                 checkpoint=checkpoint,
-                progress=_KillAfter(3),
+                telemetry=Telemetry(on_event=_KillAfter(3)),
                 progress_every=1,
             )
         persisted = {p.stem for p in checkpoint.glob("*.npy")}
@@ -124,14 +137,14 @@ class TestCheckpointResume:
             engine,
             space,
             checkpoint=checkpoint,
-            progress=lambda done, total: calls.append(done),
+            telemetry=_progress_recorder(calls),
             progress_every=1,
         )
         assert_tables_identical(serial_table, resumed)
         # The resumed run skipped the persisted cells: its first progress
         # report already covers their population.
         cell_pop = space.layers[0].size * len(space.fault_models)
-        assert calls[0] >= len(persisted) * cell_pop
+        assert calls[0][0] >= len(persisted) * cell_pop
 
     def test_checkpointed_run_matches_plain_run(
         self, campaign_setup, serial_table, tmp_path
@@ -152,7 +165,7 @@ class TestCheckpointResume:
                 engine,
                 space,
                 checkpoint=checkpoint,
-                progress=_KillAfter(2),
+                telemetry=Telemetry(on_event=_KillAfter(2)),
                 progress_every=1,
             )
         # Same checkpoint path, different policy: chunks must not be reused.

@@ -15,6 +15,7 @@ from repro.faults import (
     TableOracle,
 )
 from repro.models import ResNetCIFAR
+from repro.telemetry import Telemetry
 
 
 @pytest.fixture(scope="module")
@@ -110,10 +111,15 @@ class TestOutcomeTable:
         # Re-target the injector at the classifier layer only.
         engine_small = InferenceEngine(model, data.images, data.labels)
         progress_calls = []
+
+        def on_event(event):
+            if event.type == "progress":
+                progress_calls.append(event.fields["done"])
+
         table = OutcomeTable.from_exhaustive(
             _RetargetedEngine(engine_small, len(engine_small.layers) - 1),
             space,
-            progress=lambda done, total: progress_calls.append((done, total)),
+            telemetry=Telemetry(on_event=on_event),
             progress_every=500,
         )
         assert table.num_layers == 1

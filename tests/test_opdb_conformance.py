@@ -3,12 +3,12 @@
 Two guarantees:
 
 - **Completeness** — every op kind the plan engine can emit has a
-  :data:`~repro.check.kernels.KERNEL_TABLE` row, a reference-backend
+  :data:`~repro.check.kernels.KERNEL_TABLE` row, a reference-kernel
   dispatch entry, and at least one op_db sample generator.  Adding a new
   op kind without all three fails here, in tier 1, before any campaign
   can silently run an unchecked kernel.
 - **Falsifiability** — the conformance runner actually catches lies: a
-  backend that mis-declares batch invariance or a bit-exact tolerance
+  kernel-class subclass that mis-declares batch invariance or a bit-exact tolerance
   class is flagged by the empirical checks (mutation tests).
 """
 
@@ -20,23 +20,22 @@ from repro.backends import (
     BACKEND_OP_KINDS,
     BACKEND_PRIMITIVES,
     NumpyBackend,
-    get_backend,
+    resolve_backend,
 )
 from repro.check import KERNEL_TABLE, run_op_conformance
 from repro.check.opdb import OP_SAMPLES, opdb_kinds, samples_for
-from repro.runtime.plan import FUSED_OP_KINDS, OP_KINDS
+from repro.runtime.plan import OP_KINDS
 
 
 class TestRegistryCompleteness:
     def test_every_plan_kind_has_a_kernel_table_row(self):
-        assert OP_KINDS | FUSED_OP_KINDS <= set(KERNEL_TABLE)
+        assert OP_KINDS <= set(KERNEL_TABLE)
 
     def test_every_plan_kind_has_a_backend_dispatch_entry(self):
-        backend = get_backend("numpy")
-        assert OP_KINDS | FUSED_OP_KINDS <= backend.op_kinds()
+        assert OP_KINDS <= resolve_backend().op_kinds()
 
     def test_every_plan_kind_has_an_opdb_sample(self):
-        assert OP_KINDS | FUSED_OP_KINDS <= opdb_kinds()
+        assert OP_KINDS <= opdb_kinds()
 
     def test_primitives_have_opdb_samples(self):
         assert set(BACKEND_PRIMITIVES) <= opdb_kinds()
@@ -46,9 +45,9 @@ class TestRegistryCompleteness:
         assert opdb_kinds() == surface
 
     def test_backend_surface_matches_plan_kinds(self):
-        # BACKEND_OP_KINDS is the dispatch contract every backend must
-        # implement; it must track the plan vocabulary exactly.
-        assert set(BACKEND_OP_KINDS) == OP_KINDS | FUSED_OP_KINDS
+        # BACKEND_OP_KINDS is the dispatch contract the kernel class
+        # implements; it must track the plan vocabulary exactly.
+        assert set(BACKEND_OP_KINDS) == OP_KINDS
 
     def test_sample_names_are_unique_per_kind(self):
         for kind, samples in OP_SAMPLES.items():
@@ -61,19 +60,19 @@ class TestRegistryCompleteness:
 
 class TestConformancePasses:
     def test_reference_backend_is_clean(self):
-        results = run_op_conformance(backends=["numpy"])
+        results = run_op_conformance()
         bad = [r for r in results if not r.ok]
         assert not bad, [r.to_dict() for r in bad]
 
     def test_every_kind_is_exercised(self):
-        results = run_op_conformance(backends=["numpy"])
+        results = run_op_conformance()
         exercised = {r.kind for r in results}
-        assert OP_KINDS | FUSED_OP_KINDS <= exercised
+        assert OP_KINDS <= exercised
         assert set(BACKEND_PRIMITIVES) <= exercised
 
     def test_results_are_deterministic(self):
-        first = [r.to_dict() for r in run_op_conformance(backends=["numpy"])]
-        second = [r.to_dict() for r in run_op_conformance(backends=["numpy"])]
+        first = [r.to_dict() for r in run_op_conformance()]
+        second = [r.to_dict() for r in run_op_conformance()]
         assert first == second
 
 
@@ -81,7 +80,6 @@ class _BatchCheatBackend(NumpyBackend):
     """Keeps the honest relu="always" claim but leaks batch size into it."""
 
     name = "batch_cheat"
-    is_reference = False
 
     def relu(self, x):
         # A batch-size-dependent result: the output shifts by an amount
@@ -94,14 +92,13 @@ class _ToleranceCheatBackend(NumpyBackend):
     """Claims bit-exactness while perturbing linear outputs."""
 
     name = "tolerance_cheat"
-    is_reference = False
 
     def linear(self, x, weight, bias=None):
         return super().linear(x, weight, bias) * np.float32(1.0 + 1e-6)
 
 
 class TestMutationCatches:
-    """The op_db checks must falsify mis-declared backend claims."""
+    """The op_db checks must falsify mis-declared kernel claims."""
 
     def test_false_batch_invariance_claim_is_caught(self):
         results = run_op_conformance(backends=[_BatchCheatBackend()])
@@ -124,10 +121,9 @@ class TestMutationCatches:
         assert failed, "agreement check did not falsify the tolerance lie"
 
     def test_honest_subclass_passes(self):
-        # Control: the same harness does not flag an honest backend.
+        # Control: the same harness does not flag an honest subclass.
         class Honest(NumpyBackend):
             name = "honest"
-            is_reference = False
 
         results = run_op_conformance(backends=[Honest()])
         assert all(r.ok for r in results)

@@ -22,6 +22,7 @@ from repro.faults import FaultSpace, InferenceEngine, OutcomeTable
 from repro.ieee754 import FLOAT16
 from repro.models import ResNetCIFAR
 from repro.runtime import PlanEngine
+from repro.telemetry import Telemetry
 
 
 @pytest.fixture(scope="module")
@@ -54,12 +55,14 @@ def assert_tables_identical(a: OutcomeTable, b: OutcomeTable) -> None:
 
 
 class _KillAfter:
-    """Progress callback that simulates a crash after *n* reports."""
+    """Telemetry hook that simulates a crash at the *n*-th progress event."""
 
     def __init__(self, n: int) -> None:
         self.remaining = n
 
-    def __call__(self, done: int, total: int) -> None:
+    def __call__(self, event) -> None:
+        if event.type != "progress":
+            return
         self.remaining -= 1
         if self.remaining <= 0:
             raise KeyboardInterrupt("simulated kill")
@@ -88,7 +91,7 @@ class TestPlanCampaign:
                 plan_engine,
                 space,
                 checkpoint=checkpoint,
-                progress=_KillAfter(3),
+                telemetry=Telemetry(on_event=_KillAfter(3)),
                 progress_every=1,
             )
         persisted = {p.stem for p in checkpoint.glob("*.npy")}
@@ -113,7 +116,7 @@ class TestPlanCampaign:
                 module_engine,
                 space,
                 checkpoint=checkpoint,
-                progress=_KillAfter(2),
+                telemetry=Telemetry(on_event=_KillAfter(2)),
                 progress_every=1,
             )
         table = OutcomeTable.from_exhaustive(
@@ -167,16 +170,21 @@ class TestDistRefusal:
             verify_context_config(context, config)
 
     def test_worker_refuses_fused_against_unfused(self, campaign_setup):
+        """A config recorded by a release that still had BN-folding
+        fusion pins the fused engine's fingerprint; no worker rebuilds
+        it, so the campaign is refused rather than rerun unfused."""
         _, plan_engine, space = campaign_setup
-        fused = PlanEngine(
-            plan_engine.model,
-            plan_engine.images,
-            plan_engine.labels,
-            fmt=FLOAT16,
-            fuse=True,
+        config = exhaustive_config(plan_engine, space)
+        assert config["fusions"] == []
+        # This campaign as the last release with fusion recorded it
+        # under ``fuse=True`` (same weights, images and fault space).
+        config.update(
+            fusions=["bn_fold", "im2col_workspace"],
+            golden_sha256=(
+                "9beb68612fe252f66428f8109cc71509"
+                "adced8c78fd684e3810f42f4fd55cfe7"
+            ),
         )
-        config = exhaustive_config(fused, space)
-        assert config["fusions"] == ["bn_fold", "im2col_workspace"]
         context = ExhaustiveContext(plan_engine, space)
         with pytest.raises(DistError, match="fingerprint mismatch"):
             verify_context_config(context, config)
@@ -214,7 +222,6 @@ class TestCliWiring:
 
         args = build_parser().parse_args([])
         assert args.engine == "plan"
-        assert args.fuse is False
         assert args.batch_size is None
         args = build_parser().parse_args(
             ["--engine", "module", "--batch-size", "4"]
@@ -231,8 +238,26 @@ class TestCliWiring:
             ["submit", "q", "--model", "resnet8_mini"]
         )
         assert args.engine == "plan"
-        assert args.fuse is False
         args = build_parser().parse_args(
             ["submit", "q", "--model", "resnet8_mini", "--engine", "module"]
         )
         assert args.engine == "module"
+
+    @pytest.mark.parametrize(
+        "module, argv",
+        [
+            ("repro.cli.run", ["--help"]),
+            ("repro.cli.dist", ["submit", "--help"]),
+            ("repro.cli.dist", ["work", "--help"]),
+            ("repro.cli.check", ["plan", "--help"]),
+            ("repro.cli.check", ["conform", "--help"]),
+        ],
+    )
+    def test_no_fusion_or_backend_flags(self, module, argv, capsys):
+        import importlib
+
+        parser = importlib.import_module(module).build_parser()
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv)
+        out = capsys.readouterr().out
+        assert "--fuse" not in out and "--backend" not in out

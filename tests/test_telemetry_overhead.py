@@ -2,13 +2,20 @@
 
 The acceptance bar for the observability work: with telemetry disabled
 (the default ``NullTelemetry``), the instrumented hot path costs < 2%
-over a hand-inlined loop with no telemetry code at all.  Timings take
-the min over alternating repeats so scheduler noise on a loaded
-single-core box cannot produce a false failure.
+over a hand-inlined loop with no telemetry code at all.
+
+One whole-sweep timing per path is at the mercy of whatever else the
+host runs during it: a burst of load landing on one side skews the
+ratio by tens of percent.  The fault list is therefore cut into short
+chunks and each chunk is timed under both paths back to back (order
+alternating), so both halves of a pair see the same load.  The verdict
+is the median of the per-pair ratios over many sweeps, which bursts
+hitting a minority of pairs cannot move.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 from repro.data import SynthCIFAR
@@ -17,7 +24,10 @@ from repro.faults.engine import classify_predictions
 from repro.ieee754 import FLOAT16
 from repro.models import ResNetCIFAR
 
-REPEATS = 5
+#: Faults per timed pair (a few milliseconds of inference per side).
+CHUNK = 16
+#: Passes over the fault list; each yields len(faults) / CHUNK pairs.
+SWEEPS = 10
 MAX_OVERHEAD = 0.02
 
 
@@ -51,29 +61,39 @@ def _baseline_classify_many(engine, faults):
     return outcomes
 
 
+def _timed(run, faults) -> float:
+    start = time.perf_counter()
+    run(faults)
+    return time.perf_counter() - start
+
+
 def test_null_telemetry_overhead_under_two_percent():
     engine, faults = _setup()
     assert engine.telemetry.enabled is False  # the shipped default
 
+    def baseline(chunk):
+        return _baseline_classify_many(engine, chunk)
+
     # Warm both paths (allocations, caches) before timing.
-    _baseline_classify_many(engine, faults)
+    baseline(faults)
     engine.classify_many(faults)
 
-    baseline_times = []
-    shipped_times = []
-    for _ in range(REPEATS):  # alternate so drift hits both paths alike
-        start = time.perf_counter()
-        _baseline_classify_many(engine, faults)
-        baseline_times.append(time.perf_counter() - start)
+    chunks = [faults[i : i + CHUNK] for i in range(0, len(faults), CHUNK)]
+    ratios = []
+    for sweep in range(SWEEPS):
+        for index, chunk in enumerate(chunks):
+            # Alternate which path goes first so drift within a pair
+            # hits both paths alike.
+            if (sweep + index) % 2 == 0:
+                bare = _timed(baseline, chunk)
+                shipped = _timed(engine.classify_many, chunk)
+            else:
+                shipped = _timed(engine.classify_many, chunk)
+                bare = _timed(baseline, chunk)
+            ratios.append(shipped / bare)
 
-        start = time.perf_counter()
-        engine.classify_many(faults)
-        shipped_times.append(time.perf_counter() - start)
-
-    baseline = min(baseline_times)
-    shipped = min(shipped_times)
-    overhead = (shipped - baseline) / baseline
+    overhead = statistics.median(ratios) - 1.0
     assert overhead < MAX_OVERHEAD, (
         f"NullTelemetry path is {overhead:.2%} slower than the bare loop "
-        f"(shipped {shipped:.4f}s vs baseline {baseline:.4f}s)"
+        f"(median over {len(ratios)} paired chunks)"
     )
