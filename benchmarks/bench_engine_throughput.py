@@ -1,30 +1,28 @@
-"""Engine throughput trajectory: module vs plan vs vectorized plan.
+"""Engine throughput trajectory: the plan engine against the module oracle.
 
-Times the four execution strategies on the same deterministic,
+Times the two engine kinds on the same deterministic,
 campaign-representative fault sample from ``resnet14_mini`` (layers drawn
 proportionally to their weight count, all 32 bit positions, both stuck-at
 models — the population the committed exhaustive artifact enumerates) and
 writes ``BENCH_engine.json`` so CI can track faults/sec across commits:
 
-- ``module``          — stage-granular prefix caching, one fault at a
-                        time,
-- ``plan``            — op-granular prefix caching, one fault at a time,
-- ``plan_batched``    — op-granular caching plus K same-layer faults per
-                        stacked tail pass,
-- ``plan_vectorized`` — certified variant-axis stacking: no-flip
-                        certification retires most rows, survivors run
-                        cache-blocked stacked kernels.
+- ``module`` — the plain module-tree forward pass with stage-granular
+               prefix caching, one fault at a time (the oracle),
+- ``plan``   — the plan engine at its default batch size: no-flip
+               certification, channel-sparse fault rows, stacked suffix
+               walk and the exact dense tail.
 
-Outcomes are bit-identical across all four (asserted here); the
-run aborts if they ever diverge, so a throughput number never ships for
-an engine that changed the science.  The run also aborts if the plan
-engine at batch_size=1 falls below the module engine — the regression
-this trajectory exists to keep fixed.
+Outcomes must be bit-identical (asserted here); the run aborts if they
+ever diverge, so a throughput number never ships for an engine that
+changed the science.  The run also aborts, before writing anything, if
+the plan engine's speedup over the module engine falls more than
+:data:`REGRESSION_MARGIN` below the committed ``BENCH_engine.json``'s
+(and always if it falls below 1.0x).
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_engine_throughput.py \
-        [--out BENCH_engine.json] [--faults 192] [--batch-size 16]
+        [--out BENCH_engine.json] [--faults 768]
 """
 
 from __future__ import annotations
@@ -39,12 +37,40 @@ import numpy as np
 from repro.data import SynthCIFAR
 from repro.faults import Fault, FaultModel
 from repro.models import create_model, pretrained_path
-from repro.runtime import DEFAULT_VEC_BATCH_SIZE, create_engine
+from repro.runtime import create_engine
 from repro.store import atomic_write_bytes
 from repro.train import train_reference_model
 
 MODEL = "resnet14_mini"
 EVAL_SIZE = 64
+
+#: The committed bench whose plan speedup sets the regression floor.
+REFERENCE = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
+
+#: Fraction of the reference plan-vs-module speedup a run may lose
+#: before the bench fails (the ratio is measured within one run, so it
+#: transfers across hosts far better than absolute faults/sec).
+REGRESSION_MARGIN = 0.2
+
+
+def speed_floor(reference: Path, batch_size: int) -> float:
+    """Lowest acceptable plan-vs-module speedup given the reference file.
+
+    ``1 - REGRESSION_MARGIN`` of the reference's plan speedup when the
+    reference measured the plan engine at the same batch size, never
+    below 1.0x (the plan engine must not be slower than the oracle).
+    """
+    floor = 1.0
+    try:
+        with open(reference, encoding="utf-8") as stream:
+            previous = json.load(stream)
+    except (OSError, json.JSONDecodeError):
+        return floor
+    row = previous.get("engines", {}).get("plan", {})
+    speedup = previous.get("speedup_vs_module", {}).get("plan")
+    if speedup is not None and row.get("batch_size") == batch_size:
+        floor = max(floor, (1.0 - REGRESSION_MARGIN) * float(speedup))
+    return floor
 
 
 def sample_faults(engine, count: int, seed: int = 0) -> list[Fault]:
@@ -128,7 +154,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, default=Path("BENCH_engine.json"))
     parser.add_argument("--faults", type=int, default=768)
-    parser.add_argument("--batch-size", type=int, default=16)
     args = parser.parse_args(argv)
 
     if not pretrained_path(MODEL).is_file():
@@ -140,23 +165,7 @@ def main(argv: list[str] | None = None) -> int:
         "module": create_engine(
             model, data.images, data.labels, kind="module"
         ),
-        "plan": create_engine(
-            model, data.images, data.labels, kind="plan", batch_size=1
-        ),
-        "plan_batched": create_engine(
-            model,
-            data.images,
-            data.labels,
-            kind="plan",
-            batch_size=args.batch_size,
-        ),
-        "plan_vectorized": create_engine(
-            model,
-            data.images,
-            data.labels,
-            kind="plan_vectorized",
-            batch_size=DEFAULT_VEC_BATCH_SIZE,
-        ),
+        "plan": create_engine(model, data.images, data.labels),
     }
     faults = sample_faults(engines["module"], args.faults)
 
@@ -177,10 +186,11 @@ def main(argv: list[str] | None = None) -> int:
             "batch_size": engine.batch_size,
         }
         print(
-            f"{name:13s} {seconds:7.2f} s  "
+            f"{name:7s} {seconds:7.2f} s  "
             f"{len(faults) / seconds:8.1f} faults/s"
         )
 
+    floor = speed_floor(REFERENCE, engines["plan"].batch_size)
     module_rate = results["module"]["faults_per_sec"]
     # Stamp the kernels' numpy version beside the rates they measured.
     backend = engines["plan"].backend
@@ -197,6 +207,13 @@ def main(argv: list[str] | None = None) -> int:
         },
         "outcomes_identical": True,
     }
+    speedup = payload["speedup_vs_module"]["plan"]
+    print(f"plan speedup vs module: {speedup:.2f}x (floor {floor:.2f}x)")
+    if speedup < floor:
+        raise SystemExit(
+            f"plan engine is {speedup:.2f}x the module engine, below the "
+            f"{floor:.2f}x floor set by {REFERENCE.name}"
+        )
     args.out.parent.mkdir(parents=True, exist_ok=True)
     payload["history"] = _appended_history(args.out, payload)
     serialized = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -206,18 +223,6 @@ def main(argv: list[str] | None = None) -> int:
         f"({len(payload['history'])} history entr"
         f"{'y' if len(payload['history']) == 1 else 'ies'})"
     )
-
-    unbatched = payload["speedup_vs_module"]["plan"]
-    if unbatched < 1.0:
-        raise SystemExit(
-            f"plan engine at batch_size=1 is {unbatched:.2f}x the module "
-            "engine — the unbatched throughput regression is back"
-        )
-    batched = payload["speedup_vs_module"]["plan_batched"]
-    vectorized = payload["speedup_vs_module"]["plan_vectorized"]
-    print(f"plan (bs=1) speedup vs module:  {unbatched:.2f}x")
-    print(f"plan_batched speedup vs module: {batched:.2f}x")
-    print(f"plan_vectorized speedup vs module: {vectorized:.2f}x")
     return 0
 
 

@@ -7,7 +7,7 @@ runs:
 - :func:`check_plan` / :func:`verify_plan` — abstract interpretation
   over a captured :class:`~repro.runtime.plan.ExecutionPlan` (shapes,
   dtypes, SSA slots, ``affected_ops`` soundness, cache safety,
-  batch-invariance audit).  Wired into every plan trust boundary:
+  batch-invariance audit, certifier absorption coverage).  Wired into every plan trust boundary:
   ``capture_plan``, ``PlanEngine.__init__`` and the
   distributed merge (shards must attest a verified plan fingerprint).
 - :func:`lint_paths` — AST determinism rules (D201–D206) over the
@@ -64,15 +64,10 @@ from repro.check.opdb import OP_SAMPLES, OpSample, opdb_kinds, samples_for
 from repro.check.plan import (
     DEFAULT_INPUT_SHAPE,
     check_plan,
-    check_plan_vectorized,
-    compatible_fingerprints,
-    declare_fingerprints_compatible,
-    fingerprints_compatible,
     is_plan_verified,
     mark_plan_verified,
     plan_fingerprint,
     verify_plan,
-    verify_plan_vectorized,
 )
 
 __all__ = [
@@ -113,13 +108,8 @@ __all__ = [
     "save_baseline",
     "DEFAULT_INPUT_SHAPE",
     "check_plan",
-    "check_plan_vectorized",
-    "compatible_fingerprints",
-    "declare_fingerprints_compatible",
-    "fingerprints_compatible",
     "is_plan_verified",
     "mark_plan_verified",
     "plan_fingerprint",
     "verify_plan",
-    "verify_plan_vectorized",
 ]

@@ -1,15 +1,13 @@
 """Conformance suite: engine-level and per-op empirical correctness.
 
-**Engine level** (:func:`run_conformance`): the vectorized engine's
-throughput comes from *not* running kernels for rows it can certify;
-its correctness claim is that the predictions it reports are
-nevertheless bit-identical to the exact engine's.  That claim is
-attested structurally (``check_plan_vectorized`` declares the
-fingerprints compatible) — this check runs both engines over the same
+**Engine level** (:func:`run_conformance`): the plan engine's
+throughput comes from *not* running kernels for rows it can certify and
+from stacking the rest; its correctness claim is that the predictions
+it reports are nevertheless bit-identical to the plain module-tree
+forward pass.  This check runs the plan engine and the module engine
+(:class:`~repro.faults.InferenceEngine`, the oracle) over the same
 campaign-representative fault sample and compares the full per-fault
-prediction matrices and classified outcomes row by row.  The module
-engine (bit-identical by the capture contract) rides along, so all
-three engine kinds are checked per run.
+prediction matrices and classified outcomes row by row.
 
 **Op level** (:func:`run_op_conformance`): the op_db registry
 (:mod:`repro.check.opdb`) supplies deterministic samples per op kind;
@@ -22,13 +20,11 @@ either trait fails here, which is what the mutation tests assert.
 
 A *flip* is any (fault, image) cell where the two engines predict
 different classes; an *outcome flip* is a fault whose campaign
-classification differs.  ``tolerance`` is the permitted flip fraction —
-``0.0`` by default, and forced to ``0.0`` whenever the engines attest
-bit-exactness (the fingerprint-compatibility claim admits no slack).
+classification differs.  None is tolerated.
 
 ``repro-check conform`` is the CLI front end; CI runs it on the mini
 reference models (and ``conform --ops`` over the op_db) and fails the
-build on any out-of-tolerance flip.
+build on any flip.
 """
 
 from __future__ import annotations
@@ -47,7 +43,7 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class ConformanceReport:
-    """Outcome of one vectorized-vs-exact conformance run."""
+    """Outcome of one engine-vs-oracle conformance run."""
 
     model: str
     faults: int
@@ -56,22 +52,17 @@ class ConformanceReport:
     prediction_flips: int
     #: Faults whose campaign outcome classification differs.
     outcome_flips: int
-    #: Permitted flip fraction (0.0 when bit-exactness is attested).
-    tolerance: float
-    #: Engines declared their fingerprints compatible (bit-exact claim).
-    bit_exact_attested: bool
     #: Faults fully retired by pre-certification (no kernel work).
     precertified: int
     #: (fault, image) rows certified during seeding or the suffix walk.
     certified_rows: int
-    #: Rows that ran the full suffix and were argmax-classified.
+    #: Rows that ran the stacked suffix walk to the output.
     survivor_rows: int
+    #: Faults delegated to the exact dense tail.
+    dense_fallback_faults: int
     ok: bool
-    #: Fault indices of out-of-tolerance outcome flips (first 32).
+    #: Fault indices of outcome flips (first 32).
     flipped_faults: tuple[int, ...] = field(default=())
-    #: Module-engine (fault, image) cells differing from the exact plan
-    #: engine.
-    module_prediction_flips: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -80,14 +71,12 @@ class ConformanceReport:
             "eval_size": self.eval_size,
             "prediction_flips": self.prediction_flips,
             "outcome_flips": self.outcome_flips,
-            "tolerance": self.tolerance,
-            "bit_exact_attested": self.bit_exact_attested,
             "precertified": self.precertified,
             "certified_rows": self.certified_rows,
             "survivor_rows": self.survivor_rows,
+            "dense_fallback_faults": self.dense_fallback_faults,
             "ok": self.ok,
             "flipped_faults": list(self.flipped_faults),
-            "module_prediction_flips": self.module_prediction_flips,
         }
 
 
@@ -125,22 +114,20 @@ def run_conformance(
     eval_size: int = 64,
     faults: int = 128,
     seed: int = 0,
-    tolerance: float = 0.0,
     batch_size: int = 16,
 ) -> ConformanceReport:
-    """Compare engines fault by fault over one campaign-representative sample.
+    """Compare the plan engine with the module-engine oracle, fault by fault.
 
     *model* is either a model name from the registry (the pretrained
     reference checkpoint is used, training it first if absent) or an
-    already-built :class:`~repro.nn.module.Module`.
-
-    The engine under test is the vectorized engine against the exact
-    plan engine, plus a module-engine bit-identity check (gating).
+    already-built :class:`~repro.nn.module.Module`.  The run is ``ok``
+    only with zero prediction and zero outcome flips.
     """
     # Lazy: check is imported by runtime's plan layer; the engines pull
     # in the whole runtime stack.
     from repro.data import SynthCIFAR
-    from repro.runtime import PlanEngine, VectorizedPlanEngine
+    from repro.faults.engine import InferenceEngine
+    from repro.runtime import PlanEngine
 
     if isinstance(model, str):
         name = model
@@ -154,59 +141,33 @@ def run_conformance(
         name = type(model).__name__
 
     data = SynthCIFAR("test", size=eval_size, seed=1234)
-    exact = PlanEngine(
-        model, data.images, data.labels, batch_size=batch_size
-    )
-    under_test = VectorizedPlanEngine(
-        model, data.images, data.labels, batch_size=batch_size
-    )
-    from repro.check.plan import fingerprints_compatible
+    engine = PlanEngine(model, data.images, data.labels, batch_size=batch_size)
+    oracle = InferenceEngine(model, data.images, data.labels)
 
-    attested = fingerprints_compatible(
-        under_test.plan_fingerprint, exact.plan_fingerprint
+    sample = _sample_faults(engine, faults, seed)
+    cells = np.asarray(engine.predictions_for_faults(sample)) != np.asarray(
+        oracle.predictions_for_faults(sample)
     )
-    if attested:
-        tolerance = 0.0
-
-    sample = _sample_faults(exact, faults, seed)
-    preds_exact = exact.predictions_for_faults(sample)
-    preds_test = under_test.predictions_for_faults(sample)
-    cells = np.asarray(preds_exact) != np.asarray(preds_test)
     prediction_flips = int(cells.sum())
-
-    outcomes_exact = exact.classify_many(sample)
-    outcomes_test = under_test.classify_many(sample)
     flipped = [
         i
-        for i, (a, b) in enumerate(zip(outcomes_exact, outcomes_test))
+        for i, (a, b) in enumerate(
+            zip(engine.classify_many(sample), oracle.classify_many(sample))
+        )
         if a != b
     ]
-    flip_fraction = len(flipped) / max(len(sample), 1)
-    ok = flip_fraction <= tolerance and (
-        not attested or prediction_flips == 0
-    )
-
-    from repro.faults.engine import InferenceEngine
-
-    module_engine = InferenceEngine(model, data.images, data.labels)
-    preds_module = np.asarray(module_engine.predictions_for_faults(sample))
-    module_flips = int((preds_module != np.asarray(preds_exact)).sum())
-    ok = ok and module_flips == 0
-
     return ConformanceReport(
         model=name,
         faults=len(sample),
         eval_size=eval_size,
         prediction_flips=prediction_flips,
         outcome_flips=len(flipped),
-        tolerance=tolerance,
-        bit_exact_attested=attested,
-        precertified=getattr(under_test, "precertified", 0),
-        certified_rows=getattr(under_test, "certified_rows", 0),
-        survivor_rows=getattr(under_test, "survivor_rows", 0),
-        ok=ok,
+        precertified=engine.precertified,
+        certified_rows=engine.certified_rows,
+        survivor_rows=engine.survivor_rows,
+        dense_fallback_faults=engine.dense_fallback_faults,
+        ok=prediction_flips == 0 and not flipped,
         flipped_faults=tuple(flipped[:32]),
-        module_prediction_flips=module_flips,
     )
 
 

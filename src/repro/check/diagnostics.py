@@ -33,9 +33,9 @@ PLAN_RULES: dict[str, str] = {
     "classification table",
     "P121": "op kind is not classified in the kernel table (new kernels "
     "must be vetted for batch invariance before capture)",
-    "P123": "no absorption row for this op: the vectorized certifier "
+    "P123": "no absorption row for this op: the engine's certifier "
     "cannot bound fault propagation through it, so rows reaching it "
-    "never certify (exact fallback, correct but no speedup)",
+    "never certify (dense execution, correct but no speedup)",
 }
 
 #: Queue-protocol rules (see :mod:`repro.check.protocol`).  Q301–Q306

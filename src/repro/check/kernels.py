@@ -216,9 +216,9 @@ KERNEL_TABLE: dict[str, KernelSpec] = {
 
 
 #: Op kinds carrying an absorption row in :func:`absorption_spec` — the
-#: vetting register for the *vectorized* execution mode: rows reaching an
-#: op without one can never be certified and fall through to exact
-#: execution (rule ``P123``).
+#: vetting register for the engine's no-flip certifier: rows reaching an
+#: op without one can never be certified and run densely to the output
+#: (rule ``P123``).
 ABSORPTION_KINDS = frozenset(
     {
         "conv2d",
@@ -236,6 +236,18 @@ ABSORPTION_KINDS = frozenset(
 )
 
 
+def has_absorption_row(kind: str, input_rank: int = 3) -> bool:
+    """Whether :func:`absorption_spec` has a sound row for *kind*.
+
+    Only the trivial rank-1 flatten (post-GAP) preserves the per-channel
+    bound; flattening spatial extents would need a channel-grouped
+    expansion nothing in the zoo requires.
+    """
+    if kind == "flatten":
+        return input_rank <= 1
+    return kind in ABSORPTION_KINDS
+
+
 def absorption_spec(
     op: OpSpec,
     *,
@@ -246,7 +258,7 @@ def absorption_spec(
 ) -> tuple[Any, ...] | None:
     """Sound channelwise delta-bound transfer for one op kind.
 
-    This is the vectorized engine's certification calculus, kept here —
+    This is the plan engine's certification calculus, kept here —
     next to the batch-invariance register — as the verifier-owned
     encoding of each kernel's analytic behaviour.  For a per-sample,
     per-channel bound ``b[c]`` on the magnitude of an activation delta,
@@ -273,6 +285,8 @@ def absorption_spec(
     the dual-chain bound sharp after relu gating spikes the max.
     """
     kind = op.kind
+    if not has_absorption_row(kind, input_rank):
+        return None
     if kind == "conv2d":
         weight = np.abs(op.module.weight.data).sum(axis=(2, 3))
         matrix = weight.astype(np.float64)
@@ -304,16 +318,10 @@ def absorption_spec(
         if mean and out_positions:
             return ("scale", in_positions / out_positions)
         return ("id",)
-    if kind == "flatten":
-        # Only the trivial rank-1 flatten (post-GAP) preserves the
-        # per-channel bound; flattening spatial extents would need a
-        # channel-grouped expansion nothing in the zoo requires.
-        return ("id",) if input_rank <= 1 else None
-    if kind in ("relu", "relu6", "avg_pool2d", "global_avg_pool2d", "add"):
-        return ("id",)
     if kind == "pad_channels":
         return ("pad", op.params["before"], op.params["after"])
-    return None
+    # relu/relu6 clip, pooling averages, add, rank-1 flatten.
+    return ("id",)
 
 
 def param_dtype_issues(op: OpSpec) -> list[str]:

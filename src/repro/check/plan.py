@@ -6,8 +6,10 @@ per-sample shapes and dtypes are propagated through every op via the
 central :data:`~repro.check.kernels.KERNEL_TABLE`, SSA discipline on
 buffer slots is checked, each op's ``affected_ops`` dirty set is proved
 sound against an independently recomputed dataflow closure (an unsound
-set would silently serve stale golden prefix cache), and every
-``batch_invariant`` flag is audited against the kernel table.
+set would silently serve stale golden prefix cache), every
+``batch_invariant`` flag is audited against the kernel table, and every
+op is checked for the absorption row the engine's no-flip certifier
+bounds fault effects with.
 
 :func:`check_plan` is the trust-boundary wrapper: it raises
 :class:`~repro.check.diagnostics.PlanVerificationError` on any error
@@ -25,7 +27,7 @@ from repro.check.kernels import (
     ABSORPTION_KINDS,
     KERNEL_TABLE,
     ShapeError,
-    absorption_spec,
+    has_absorption_row,
     param_dtype_issues,
 )
 from repro.nn.module import Module
@@ -38,49 +40,12 @@ DEFAULT_INPUT_SHAPE = (3, 32, 32)
 #: this process (fork-based dist workers inherit the parent's entries).
 _VERIFIED_FINGERPRINTS: set[str] = set()
 
-#: Pairs of fingerprints attested to classify every fault identically.
-#: Campaign artifacts produced under distinct fingerprints are refused
-#: by checkpoints, workers and merges *unless* a verification pass
-#: declared the pair compatible (e.g. :func:`check_plan_vectorized`
-#: proving the vectorized mode bit-identical to the exact plan).
-_COMPATIBLE_FINGERPRINTS: dict[str, set[str]] = {}
-
-
 def mark_plan_verified(fingerprint: str) -> None:
     _VERIFIED_FINGERPRINTS.add(fingerprint)
 
 
 def is_plan_verified(fingerprint: str) -> bool:
     return fingerprint in _VERIFIED_FINGERPRINTS
-
-
-def declare_fingerprints_compatible(a: str, b: str) -> None:
-    """Record that artifacts under *a* and *b* may be mixed.
-
-    Only verification passes should call this: a declaration asserts the
-    two execution identities produce bit-identical outcomes for every
-    fault, which is exactly what distributed merges rely on when they
-    accept a shard attesting a different (but declared) fingerprint.
-    """
-    _COMPATIBLE_FINGERPRINTS.setdefault(a, set()).add(b)
-    _COMPATIBLE_FINGERPRINTS.setdefault(b, set()).add(a)
-
-
-def fingerprints_compatible(a: str, b: str) -> bool:
-    """Whether *a* and *b* are identical or declared compatible."""
-    return a == b or b in _COMPATIBLE_FINGERPRINTS.get(a, ())
-
-
-def compatible_fingerprints(fingerprint: str) -> tuple[str, ...]:
-    """Sorted fingerprints declared compatible with *fingerprint*.
-
-    The registry is process-local, so a worker records this set in each
-    shard result it completes: a standalone merge process (which never
-    built either plan, hence holds an empty registry) accepts the shard
-    against any campaign fingerprint the worker's own verification pass
-    attested compatible at run time.
-    """
-    return tuple(sorted(_COMPATIBLE_FINGERPRINTS.get(fingerprint, ())))
 
 
 def _module_signature(module: Module | None) -> list:
@@ -110,16 +75,12 @@ def _params_signature(params: dict) -> list:
     return out
 
 
-def plan_fingerprint(plan: ExecutionPlan, *, mode: str = "exact") -> str:
+def plan_fingerprint(plan: ExecutionPlan) -> str:
     """Structural sha256 of *plan* (ops, slots, flags — not weight values).
 
     Weight *values* are covered by the engine fingerprint; this one pins
     the dataflow structure the verifier reasoned about, so a shard's
-    attestation refers to exactly the verified graph.  *mode* qualifies
-    the execution strategy the fingerprint attests: ``"exact"`` (the
-    default, hash-stable with earlier releases) or ``"vectorized"`` —
-    the variant-axis certified mode runs the same plan under a distinct
-    fingerprint.
+    attestation refers to exactly the verified graph.
     """
     payload = {
         "num_slots": plan.num_slots,
@@ -140,8 +101,6 @@ def plan_fingerprint(plan: ExecutionPlan, *, mode: str = "exact") -> str:
             for op in plan.ops
         ],
     }
-    if mode != "exact":
-        payload["mode"] = mode
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -323,6 +282,23 @@ def verify_plan(
                 "needlessly",
                 op.index,
             )
+
+    # -- certification coverage: every op needs an absorption row --------
+    for op in plan.ops:
+        in_shape = shapes.get(op.inputs[0]) if op.inputs else None
+        rank = len(in_shape) if in_shape is not None else 3
+        if not has_absorption_row(op.kind, rank):
+            warn(
+                "P123",
+                f"{op.kind} has no absorption row"
+                + (
+                    f" for rank-{rank} input"
+                    if op.kind in ABSORPTION_KINDS
+                    else ""
+                )
+                + "; rows reaching it never certify",
+                op.index,
+            )
     return diags
 
 
@@ -335,81 +311,4 @@ def check_plan(
         raise PlanVerificationError(diagnostics)
     fingerprint = plan_fingerprint(plan)
     mark_plan_verified(fingerprint)
-    return fingerprint
-
-
-def _abstract_shapes(
-    plan: ExecutionPlan, input_shape: tuple[int, ...]
-) -> dict[int, tuple[int, ...] | None]:
-    """Per-slot abstract shapes (best-effort; None where unknown)."""
-    shapes: dict[int, tuple[int, ...] | None] = {
-        plan.input_slot: tuple(input_shape)
-    }
-    for op in plan.ops:
-        spec = KERNEL_TABLE.get(op.kind)
-        in_shapes = [shapes.get(slot) for slot in op.inputs]
-        if spec is None or not in_shapes or any(s is None for s in in_shapes):
-            shapes[op.output] = None
-            continue
-        try:
-            shapes[op.output] = spec.infer_shape(op, in_shapes)
-        except ShapeError:
-            shapes[op.output] = None
-    return shapes
-
-
-def verify_plan_vectorized(
-    plan: ExecutionPlan, *, input_shape: tuple[int, ...] = DEFAULT_INPUT_SHAPE
-) -> list[Diagnostic]:
-    """Diagnostics for running *plan* under the vectorized mode.
-
-    On top of every exact-mode check, the vectorized certifier needs an
-    absorption row for every op so fault-propagation bounds exist; ops
-    without one only disable certification beyond them (``P123``,
-    warning: correct but no speedup).
-    """
-    diags = verify_plan(plan, input_shape=input_shape)
-    shapes = _abstract_shapes(plan, input_shape)
-    for op in plan.ops:
-        in_shape = shapes.get(op.inputs[0]) if op.inputs else None
-        rank = len(in_shape) if in_shape is not None else 3
-        if absorption_spec(op, mean=False, input_rank=rank) is None:
-            diags.append(
-                Diagnostic(
-                    "P123",
-                    "warning",
-                    f"{op.kind} has no absorption row"
-                    + (
-                        f" for rank-{rank} input"
-                        if op.kind in ABSORPTION_KINDS
-                        else ""
-                    )
-                    + "; rows reaching it never certify",
-                    op.index,
-                )
-            )
-    return diags
-
-
-def check_plan_vectorized(
-    plan: ExecutionPlan, *, input_shape: tuple[int, ...] = DEFAULT_INPUT_SHAPE
-) -> str:
-    """Verify *plan* for vectorized execution; return its mode fingerprint.
-
-    Raises on errors.  On success the vectorized fingerprint is
-    registered as verified **and declared compatible with the exact
-    fingerprint of the same plan**: certified rows provably keep the
-    golden prediction and surviving rows run through the same
-    bit-stable kernels (non-batch-invariant ops at full batch), so the
-    two modes classify every fault identically — which is what lets
-    checkpoints and distributed merges mix their artifacts.
-    """
-    diagnostics = verify_plan_vectorized(plan, input_shape=input_shape)
-    if any(d.severity == "error" for d in diagnostics):
-        raise PlanVerificationError(diagnostics)
-    exact = plan_fingerprint(plan)
-    fingerprint = plan_fingerprint(plan, mode="vectorized")
-    mark_plan_verified(exact)
-    mark_plan_verified(fingerprint)
-    declare_fingerprints_compatible(fingerprint, exact)
     return fingerprint

@@ -9,9 +9,9 @@ Three subcommands:
   source paths, honouring ``# repro-check: ignore[RULE]`` suppressions
   and an optional committed baseline.  ``--write-baseline`` adopts the
   current findings.
-- ``repro-check conform`` — run the vectorized-vs-exact conformance
+- ``repro-check conform`` — run the engine-vs-oracle conformance
   suite (:func:`repro.check.run_conformance`) on reference models;
-  exit 1 on any out-of-tolerance outcome flip.  ``--ops`` runs the
+  exit 1 on any prediction or outcome flip.  ``--ops`` runs the
   op_db per-kernel suite (:func:`repro.check.run_op_conformance`) over
   every op kind on the reference kernels instead.
 - ``repro-check protocol`` — verify the distributed queue protocol:
@@ -99,7 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     conform = sub.add_parser(
         "conform",
-        help="vectorized-vs-exact engine conformance on reference models",
+        help="plan engine vs module-engine oracle conformance on "
+        "reference models",
     )
     conform.add_argument(
         "--model",
@@ -117,13 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--eval-size", type=int, default=64, help="evaluation set size"
     )
     conform.add_argument("--seed", type=int, default=0)
-    conform.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.0,
-        help="permitted outcome-flip fraction; forced to 0 when the "
-        "engines attest bit-exactness (default: 0)",
-    )
     conform.add_argument(
         "--out",
         metavar="JSON",
@@ -274,20 +268,17 @@ def _cmd_conform(args) -> int:
             eval_size=args.eval_size,
             faults=args.faults,
             seed=args.seed,
-            tolerance=args.tolerance,
         )
         reports.append(report)
         verdict = "ok" if report.ok else "FAIL"
         failed = failed or not report.ok
-        attest = "bit-exact" if report.bit_exact_attested else (
-            f"tolerance={report.tolerance}"
-        )
         print(
             f"{verdict:4s} {report.model:18s} "
             f"faults={report.faults:4d} "
             f"flips={report.outcome_flips}/{report.faults} "
-            f"cells={report.prediction_flips} [{attest}] "
+            f"cells={report.prediction_flips} "
             f"precertified={report.precertified} "
+            f"dense={report.dense_fallback_faults} "
             f"survivors={report.survivor_rows}"
         )
         if report.flipped_faults:

@@ -20,9 +20,9 @@ shard lifecycle:
   queues and mismatched config fingerprints.
 
 ``submit --auto`` closes the telemetry loop: a cost model fitted from a
-measured journal (``--fit``) picks the engine kind, batch size and shard
-granularity, and the resulting prediction is recorded with the campaign
-so ``repro-stats`` can report predicted-vs-actual error afterwards.
+measured journal (``--fit``) picks the shard granularity, and the
+resulting prediction is recorded with the campaign so ``repro-stats``
+can report predicted-vs-actual error afterwards.
 """
 
 from __future__ import annotations
@@ -92,15 +92,22 @@ def _build_engine(runtime: dict, *, telemetry=None):
     """
     from repro.runtime import create_engine
 
+    # Queues submitted before engine selection existed carry no
+    # "engine" key; they were computed by the module engine.
+    kind = runtime.get("engine", "module")
+    if kind not in ("plan", "module"):
+        raise DistError(
+            f"the campaign was recorded with engine {kind!r}, which this "
+            "version does not have (engines: 'plan', 'module'); resubmit "
+            "the campaign to a fresh queue"
+        )
     model = create_model(runtime["model"], pretrained=True)
     data = SynthCIFAR("test", size=int(runtime["eval_size"]), seed=1234)
     engine = create_engine(
         model,
         data.images,
         data.labels,
-        # Queues submitted before engine selection existed carry no
-        # "engine" key; they were computed by the module engine.
-        kind=runtime.get("engine", "module"),
+        kind=kind,
         policy=runtime.get("policy", "accuracy_drop"),
         telemetry=telemetry,
     )
@@ -143,13 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--eval-size", type=int, default=64)
     submit.add_argument("--policy", default="accuracy_drop")
     submit.add_argument(
-        "--engine",
-        default="plan",
-        choices=("plan", "plan_vectorized", "module"),
-        help="execution engine; plan, vectorized and module outcomes "
-        "are bit-identical (default: plan)",
-    )
-    submit.add_argument(
         "--shards", type=int, default=4, help="shard count (default: 4)"
     )
     submit.add_argument(
@@ -167,9 +167,9 @@ def build_parser() -> argparse.ArgumentParser:
     auto.add_argument(
         "--auto",
         action="store_true",
-        help="pick engine kind, batch size and shard granularity from a "
-        "cost model fitted from measured telemetry (needs --fit or "
-        "--cost-model; exhaustive campaigns only)",
+        help="pick the shard count from a cost model fitted from "
+        "measured telemetry (needs --fit or --cost-model; exhaustive "
+        "campaigns only)",
     )
     auto.add_argument(
         "--fit",
@@ -244,15 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="sampled campaigns: really inject each fault instead of "
         "replaying the cached exhaustive outcomes",
-    )
-    work.add_argument(
-        "--engine",
-        default=None,
-        choices=("plan", "plan_vectorized"),
-        help="exhaustive campaigns: run this worker's shards on a "
-        "different engine than the campaign was submitted with; "
-        "accepted only when the verifier attests both engines' "
-        "fingerprints outcome-compatible",
     )
     work.add_argument(
         "--heartbeat-interval",
@@ -362,9 +353,8 @@ def _cmd_submit(args) -> int:
                 "submit --auto tunes exhaustive campaigns; sampled "
                 "campaigns are priced by their plan instead"
             )
-        # The auto choice needs the fault space before the engine is
-        # built; the module-engine space is identical (same model), so
-        # build cheap, choose, then rebuild with the chosen engine.
+        # The fault space only depends on the model, so the shard count
+        # is chosen before the engine is built.
         probe_model = create_model(args.model, pretrained=True)
         choice = choose_submit_settings(
             cost_model,
@@ -373,11 +363,9 @@ def _cmd_submit(args) -> int:
             target_shard_seconds=args.target_shard_seconds,
             model=args.model,
         )
-        args.engine = choice.engine
         args.shards = choice.shards
         print(
-            f"auto: engine={choice.engine} batch={choice.batch_size} "
-            f"shards={choice.shards} -> predicted "
+            f"auto: shards={choice.shards} -> predicted "
             f"{choice.prediction.wall_seconds:.2f}s wall at "
             f"{args.workers} worker(s)"
         )
@@ -386,20 +374,19 @@ def _cmd_submit(args) -> int:
             "model": args.model,
             "eval_size": args.eval_size,
             "policy": args.policy,
-            "engine": args.engine,
+            "engine": "plan",
         }
     )
     runtime = {
         "model": args.model,
         "eval_size": args.eval_size,
         "policy": args.policy,
-        "engine": args.engine,
+        "engine": engine.kind,
         "golden_accuracy": engine.golden_accuracy,
-    }
-    if getattr(engine, "plan_fingerprint", None) is not None:
         # Pin the verified plan structure: the merge refuses shard
         # results that do not attest this fingerprint.
-        runtime["plan_sha256"] = engine.plan_fingerprint
+        "plan_sha256": engine.plan_fingerprint,
+    }
     if args.kind == "exhaustive":
         config, specs = make_exhaustive_shards(
             engine, space, shards=args.shards
@@ -431,7 +418,7 @@ def _cmd_submit(args) -> int:
         if args.kind == "exhaustive":
             prediction = cost_model.predict_exhaustive(
                 space,
-                engine=args.engine,
+                engine=engine.kind,
                 workers=args.workers,
                 shards=len(specs),
                 model=args.model,
@@ -439,7 +426,7 @@ def _cmd_submit(args) -> int:
         else:
             prediction = cost_model.predict_sampled(
                 plan,
-                engine=args.engine,
+                engine=engine.kind,
                 workers=args.workers,
                 shards=len(specs),
                 model=args.model,
@@ -479,33 +466,19 @@ def _cmd_work(args) -> int:
     runtime = campaign.get("runtime", {})
     telemetry = telemetry_from_args(args)
     if config["kind"] == "exhaustive":
-        if args.engine:
-            runtime = dict(runtime, engine=args.engine)
         engine, space = _build_engine(runtime, telemetry=telemetry)
-        expected_plan = campaign.get("runtime", {}).get("plan_sha256")
+        expected_plan = runtime.get("plan_sha256")
         rebuilt_plan = getattr(engine, "plan_fingerprint", None)
         if expected_plan is not None and rebuilt_plan != expected_plan:
-            # A mixed-engine fleet is legitimate exactly when the
-            # verifier attested both plans bit-identical in outcomes.
-            from repro.check import fingerprints_compatible
-
-            if not fingerprints_compatible(
-                str(rebuilt_plan), expected_plan
-            ):
-                raise DistError(
-                    "execution-plan mismatch: the campaign was submitted "
-                    f"for verified plan {expected_plan[:12]}, this worker "
-                    f"captured {str(rebuilt_plan)[:12]} — refusing to "
-                    "classify shards (not attested outcome-compatible)"
-                )
+            raise DistError(
+                "execution-plan mismatch: the campaign was submitted "
+                f"for verified plan {expected_plan[:12]}, this worker "
+                f"captured {str(rebuilt_plan)[:12]} — refusing to "
+                "classify shards"
+            )
         context = ExhaustiveContext(engine, space)
         verify_context_config(context, config)
     else:
-        if args.engine:
-            raise DistError(
-                "--engine only applies to exhaustive campaigns; sampled "
-                "workers replay or inject under the submitted engine"
-            )
         engine, space = _build_engine(runtime, telemetry=telemetry)
         plan = _build_plan(runtime, space)
         rebuilt = sampled_config(

@@ -4,8 +4,8 @@ The base mode reproduces the paper's Table I layout (sample sizes per
 subpopulation).  ``--predict`` adds the cost side: a
 :class:`~repro.telemetry.costmodel.CostModel` fitted from measured
 telemetry journals (``--fit``) and the engine-throughput bench
-(``--bench``) prices every engine kind × batch size × worker count
-before anything runs, and the headline prediction can be journalled
+(``--bench``) prices every benched engine × worker count before
+anything runs, and the plan-engine headline prediction can be journalled
 (``--trace``) so ``repro-stats`` later reports predicted-vs-actual
 error.
 """
@@ -79,8 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
     predict.add_argument(
         "--predict",
         action="store_true",
-        help="print predicted wall clock / fault-evaluations per engine "
-        "kind x batch size x worker count, fitted from measured telemetry",
+        help="print predicted wall clock / fault-evaluations per benched "
+        "engine x worker count, fitted from measured telemetry",
     )
     predict.add_argument(
         "--fit",
@@ -112,20 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="JSON",
         help="engine-throughput bench for relative engine speeds "
         "(default: BENCH_engine.json when present)",
-    )
-    predict.add_argument(
-        "--engine",
-        default=None,
-        choices=("module", "plan", "plan_vectorized"),
-        help="engine for the headline prediction (default: the fastest "
-        "benched engine, else the measured one)",
-    )
-    predict.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        help="batch size for the headline prediction (default: the "
-        "bench's batch for the chosen engine)",
     )
     predict.add_argument(
         "--workers",
@@ -184,22 +170,16 @@ def _build_cost_model(args, space) -> CostModel:
     return model
 
 
-def _engine_axis(cost_model: CostModel) -> list[tuple[str, str, int]]:
-    """(display name, engine kind, batch size) rows for the table."""
+def _engine_axis(cost_model: CostModel) -> list[tuple[str, str]]:
+    """(display name, engine kind) rows for the table."""
     rows = [
-        (rate.name, rate.kind, rate.batch_size)
+        (rate.name, rate.kind)
         for rate in sorted(
             cost_model.engine_rates.values(), key=lambda r: r.name
         )
     ]
     if not rows:
-        rows = [
-            (
-                cost_model.measured_engine,
-                cost_model.measured_engine,
-                cost_model.measured_batch_size,
-            )
-        ]
+        rows = [(cost_model.measured_engine, cost_model.measured_engine)]
     return rows
 
 
@@ -232,13 +212,13 @@ def _predict(args, space, plans, tele) -> dict:
         f"{space.total_population:,} fault-evaluations:"
     )
     print(header)
-    for name, kind, batch_size in engine_axis:
+    for name, kind in engine_axis:
+        batch_size = cost_model.batch_size_for(kind)
         cells = []
         for w in workers_axis:
             prediction = cost_model.predict_exhaustive(
                 space,
                 engine=kind,
-                batch_size=batch_size,
                 workers=w,
                 shards=args.shards,
                 model=args.model,
@@ -259,8 +239,7 @@ def _predict(args, space, plans, tele) -> dict:
 
     headline = cost_model.predict_exhaustive(
         space,
-        engine=args.engine,
-        batch_size=args.batch_size,
+        engine="plan",
         workers=args.workers,
         shards=args.shards,
         model=args.model,
@@ -282,7 +261,6 @@ def _predict(args, space, plans, tele) -> dict:
         prediction = cost_model.predict_sampled(
             plan,
             engine=headline.engine,
-            batch_size=headline.batch_size,
             workers=args.workers,
             shards=args.shards,
             model=args.model,

@@ -59,21 +59,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--eval-size", type=int, default=64, help="evaluation set size"
     )
     parser.add_argument(
-        "--engine",
-        default="plan",
-        choices=("plan", "plan_vectorized", "module"),
-        help="fault-evaluation engine: 'plan' (op-granular caching, "
-        "batched faults; default), 'plan_vectorized' (certified "
-        "variant-axis stacking) or 'module' (stage-granular "
-        "reference). Outcomes are bit-identical in all three.",
-    )
-    parser.add_argument(
         "--batch-size",
         type=int,
         default=None,
         metavar="K",
-        help="plan engine only: same-layer faults evaluated per stacked "
-        "tail pass (default: 16)",
+        help="same-layer faults the engine evaluates per batch "
+        "(default: 16)",
     )
     parser.add_argument(
         "--live",
@@ -117,7 +108,6 @@ def main(argv: list[str] | None = None) -> int:
         table, space, engine = load_or_run_exhaustive(
             args.model,
             eval_size=args.eval_size,
-            engine_kind=args.engine,
             batch_size=args.batch_size,
             workers=args.workers,
             shards=args.shards,

@@ -77,9 +77,7 @@ def _expected_plan_attestation(campaign: dict) -> str | None:
     if campaign.get("config", {}).get("kind") != EXHAUSTIVE:
         return None
     runtime = campaign.get("runtime") or {}
-    if runtime.get("engine") in ("plan", "plan_vectorized"):
-        return runtime.get("plan_sha256")
-    return None
+    return runtime.get("plan_sha256")
 
 
 def _shard_results(
@@ -104,34 +102,26 @@ def _shard_results(
             )
         if expected_plan is not None:
             attested = meta.get("plan_sha256")
-            # Mixed-engine fleets are fine exactly when a verifier
-            # attested the engines bit-identical: a vectorized worker's
-            # fingerprint is accepted against an exact campaign (and
-            # vice versa) only via the explicit compatibility registry
-            # check_plan_vectorized populates.  The registry is
-            # process-local, so the shard also carries the worker's own
-            # declarations — a standalone merge process, which never
-            # built either plan, honours those.
-            from repro.check import fingerprints_compatible
-
-            matches = attested == expected_plan or (
-                attested is not None
-                and (
-                    fingerprints_compatible(attested, expected_plan)
-                    or expected_plan
-                    in meta.get("plan_compatible_with", ())
-                )
-            )
-            if not matches or not meta.get("plan_verified"):
+            if attested != expected_plan or not meta.get("plan_verified"):
+                if attested is not None and attested != expected_plan:
+                    cause = (
+                        "it attests a different plan, most likely because "
+                        "a worker of a removed engine kind (the former "
+                        "vectorized plan engine) completed it; delete the "
+                        "result and rerun the shard"
+                    )
+                else:
+                    cause = (
+                        "it was produced by a worker whose plan never "
+                        "passed repro-check verification"
+                    )
                 raise MergeError(
                     f"refusing to merge {queue.result_path(shard_id)}: the "
                     "shard does not attest the campaign's verified "
                     f"execution plan (campaign plan {expected_plan[:12]}, "
                     f"shard attests {str(attested)[:12]} "
-                    f"verified={bool(meta.get('plan_verified'))}) — it was "
-                    "produced by a worker whose plan never passed "
-                    "repro-check verification or whose engine is not "
-                    "attested outcome-compatible with the campaign's"
+                    f"verified={bool(meta.get('plan_verified'))}) — "
+                    f"{cause}"
                 )
         yield shard_id, meta, arrays
 

@@ -91,25 +91,13 @@ def resolve_heartbeat_interval(interval: float | None = None) -> float:
 
 
 def _plan_attestation(fingerprint: str) -> dict:
-    """Worker-side plan stamp embedded in every completed shard result.
+    """Worker-side plan stamp embedded in every completed shard result."""
+    from repro.check import is_plan_verified
 
-    Beside the fingerprint and its verification bit, the stamp carries
-    the fingerprints this process's verifier declared outcome-compatible
-    (``check_plan_vectorized`` proving the vectorized mode bit-identical
-    to its exact twin).  The compatibility registry is process-local, so
-    without the shard carrying it a standalone merge could never accept
-    a mixed-engine fleet.
-    """
-    from repro.check import compatible_fingerprints, is_plan_verified
-
-    meta = {
+    return {
         "plan_sha256": fingerprint,
         "plan_verified": bool(is_plan_verified(fingerprint)),
     }
-    compatible = compatible_fingerprints(fingerprint)
-    if compatible:
-        meta["plan_compatible_with"] = list(compatible)
-    return meta
 
 
 def plan_attestation_runtime(engine: Any) -> dict:
@@ -431,11 +419,9 @@ def verify_context_config(
     """Refuse to run shards against a mismatched campaign configuration.
 
     An exhaustive context must reproduce the submitted engine
-    fingerprint (golden weight bits + eval images) exactly — or hold a
-    fingerprint the verifier has explicitly attested outcome-compatible
-    with it (a vectorized worker joining an exact-engine campaign, or
-    vice versa); a worker holding retrained weights or a different eval
-    set would silently corrupt the merged table otherwise.
+    fingerprint (golden weight bits + eval images) exactly; a worker
+    holding retrained weights or a different eval set would silently
+    corrupt the merged table otherwise.
     """
     if config.get("kind") != context.kind:
         raise DistError(
@@ -443,21 +429,15 @@ def verify_context_config(
             f"worker context kind {context.kind!r}"
         )
     if isinstance(context, ExhaustiveContext):
-        from repro.check import fingerprints_compatible
-
         fingerprint = context.engine.fingerprint()
         expected = config.get("golden_sha256")
-        if (
-            expected is not None
-            and fingerprint != expected
-            and not fingerprints_compatible(fingerprint, expected)
-        ):
+        if expected is not None and fingerprint != expected:
             raise DistError(
                 "engine fingerprint mismatch: campaign was submitted for "
                 f"golden weights {expected[:12]}, this worker rebuilt "
                 f"{fingerprint[:12]} — refusing to classify shards "
-                "(retrained weights, a different eval set, or an engine "
-                "not attested outcome-compatible?)"
+                "(retrained weights, a different eval set, or another "
+                "engine kind?)"
             )
         sizes = [layer.size for layer in context.space.layers]
         if config.get("layer_sizes") not in (None, sizes):

@@ -134,7 +134,7 @@ class FaultInjectionEngine:
         #: across engines).
         self.inference_count = 0
 
-    def fingerprint(self, *, kind: str | None = None) -> str:
+    def fingerprint(self) -> str:
         """SHA-256 over the campaign's full classification identity.
 
         Covers the golden weight bits and eval images *and* everything
@@ -144,11 +144,6 @@ class FaultInjectionEngine:
         checkpoints and distributed shards compare it so progress
         recorded under different weights or policies is never resumed
         or merged.
-
-        *kind* substitutes another engine kind into the identity — used
-        by engines whose outcomes are attested bit-identical to a twin
-        (e.g. the vectorized engine declaring compatibility with the
-        exact plan engine's fingerprint) without building the twin.
         """
         digest = hashlib.sha256()
         header = json.dumps(
@@ -156,7 +151,7 @@ class FaultInjectionEngine:
                 "fmt": self.injector.fmt.name,
                 "policy": self.policy,
                 "threshold": self.threshold,
-                "engine": self.kind if kind is None else kind,
+                "engine": self.kind,
                 # Constant: keeps checkpoints, queues and shard stamps
                 # written while fusion still existed valid.
                 "fusions": [],

@@ -134,7 +134,7 @@ def softmax(x: np.ndarray) -> np.ndarray:
 def channel_abs_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample, per-channel ``(max, mean)`` of ``|x|``, in float64.
 
-    The basis vectors of the vectorized engine's dual delta-bound
+    The basis vectors of the plan engine's dual delta-bound
     chains (see :func:`repro.check.kernels.absorption_spec`): spatial
     axes are reduced away, rank-2 inputs (post-GAP activations, logits)
     pass through with max == mean.  float64 keeps the certification

@@ -3,8 +3,9 @@
 ``repro.runtime`` lowers a model's ``forward_fast`` into a flat,
 forward-only :class:`ExecutionPlan` of primitive ops over explicit
 buffer slots (:func:`capture_plan`), and classifies weight faults over
-it with :class:`PlanEngine` — op-granular prefix caching plus batched
-same-layer fault evaluation, bit-identical to the module engine.
+it with :class:`PlanEngine` — no-flip certification, op-granular prefix
+caching and batched same-layer fault evaluation, bit-identical to the
+module engine.
 """
 
 from repro.runtime.engine import (
@@ -19,22 +20,14 @@ from repro.runtime.plan import (
     PlanBuilder,
     capture_plan,
 )
-from repro.runtime.vectorized import (
-    DEFAULT_OP_BUDGET,
-    DEFAULT_VEC_BATCH_SIZE,
-    VectorizedPlanEngine,
-)
 
 __all__ = [
     "DEFAULT_BATCH_SIZE",
-    "DEFAULT_OP_BUDGET",
-    "DEFAULT_VEC_BATCH_SIZE",
     "ExecutionPlan",
     "OP_KINDS",
     "OpSpec",
     "PlanBuilder",
     "PlanEngine",
-    "VectorizedPlanEngine",
     "capture_plan",
     "create_engine",
 ]

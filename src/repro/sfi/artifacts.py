@@ -24,7 +24,7 @@ def exhaustive_table_path(
 ) -> Path:
     """Cache location for one exhaustive configuration.
 
-    Every engine kind shares the cache entry: their outcomes are
+    Both engine kinds share the cache entry: their outcomes are
     bit-identical.
     """
     return (
@@ -74,8 +74,8 @@ def load_or_run_exhaustive(
 
     *engine_kind* selects the engine (see
     :func:`repro.runtime.create_engine`); outcomes are bit-identical
-    across kinds, so all of them share the cache.  *batch_size* tunes
-    how many same-layer faults share one tail pass (plan engines only).
+    across kinds, so both share the cache.  *batch_size* tunes how many
+    same-layer faults the plan engine evaluates per batch.
 
     With *shards* set the cold-cache campaign instead goes through
     :func:`repro.dist.run_sharded_exhaustive`: the work is split into

@@ -5,15 +5,15 @@ cost — per-(layer, bit) cell wall times in the journal, engine
 throughput in ``BENCH_engine.json``, worker utilisation in fleet
 journals.  This module closes the loop: it fits those measurements into
 a :class:`CostModel` that prices a campaign *before* it runs
-(``repro-plan --predict``), picks engine kind / batch size / shard
-granularity for ``repro-dist submit --auto``, and — because every
+(``repro-plan --predict``), picks the shard granularity for
+``repro-dist submit --auto``, and — because every
 prediction is journalled as a ``campaign_predicted`` event — lets
 ``repro-stats`` report predicted-vs-actual error so the model is
 continuously validated against reality.
 
 The model is deliberately simple and inspectable: per-layer
-seconds-per-fault fitted from measured cells, a relative engine-speed
-table from the throughput bench, and an observed worker-utilisation
+seconds-per-fault fitted from measured cells, the module-vs-plan speed
+ratio from the throughput bench, and an observed worker-utilisation
 factor.  Every prediction carries the features it was derived from.
 """
 
@@ -44,8 +44,8 @@ class CostModelError(RuntimeError):
 class EngineRate:
     """One engine configuration's measured throughput (from the bench)."""
 
-    name: str  # bench row name: module / plan / plan_batched / ...
-    kind: str  # create_engine kind: module / plan / plan_vectorized
+    name: str  # bench row name
+    kind: str  # create_engine kind: module / plan
     batch_size: int
     faults_per_sec: float
 
@@ -58,22 +58,13 @@ class EngineRate:
         }
 
 
-#: Bench row name -> create_engine kind.  ``plan_batched`` is the plan
-#: engine at its batched configuration, not a distinct kind.
-_BENCH_KINDS = {
-    "module": "module",
-    "plan": "plan",
-    "plan_batched": "plan",
-    "plan_vectorized": "plan_vectorized",
-}
-
-
 def load_bench(path: str | os.PathLike) -> dict[str, EngineRate]:
     """Engine throughput rates from a ``BENCH_engine.json`` file.
 
-    Reads the top-level (latest) ``engines`` block; the appended
-    ``history`` trajectory is ignored here — the newest measurement is
-    the one that prices future campaigns.
+    Reads the top-level (latest) ``engines`` block, whose rows are
+    named after engine kinds; the appended ``history`` trajectory is
+    ignored here — the newest measurement is the one that prices future
+    campaigns.
     """
     with open(path, encoding="utf-8") as stream:
         payload = json.load(stream)
@@ -83,18 +74,11 @@ def load_bench(path: str | os.PathLike) -> dict[str, EngineRate]:
         row = engines[name]
         rates[name] = EngineRate(
             name=name,
-            kind=_BENCH_KINDS.get(name, name),
+            kind=name,
             batch_size=int(row.get("batch_size", 1)),
             faults_per_sec=float(row["faults_per_sec"]),
         )
     return rates
-
-
-def _bench_name(kind: str, batch_size: int) -> str:
-    """The bench row pricing one (engine kind, batch size) choice."""
-    if kind == "plan" and batch_size > 1:
-        return "plan_batched"
-    return kind
 
 
 @dataclass(frozen=True)
@@ -180,16 +164,14 @@ class CostModel:
             "bench_engines": sorted(self.engine_rates),
         }
 
-    def engine_scale(self, kind: str, batch_size: int) -> float:
+    def engine_scale(self, kind: str) -> float:
         """Seconds multiplier from the measured engine to *kind*.
 
         Derived from the bench's relative rates; 1.0 when either side is
         missing from the bench (prediction falls back to measured cost).
         """
-        source = self.engine_rates.get(
-            _bench_name(self.measured_engine, self.measured_batch_size)
-        )
-        target = self.engine_rates.get(_bench_name(kind, batch_size))
+        source = self.engine_rates.get(self.measured_engine)
+        target = self.engine_rates.get(kind)
         if source is None or target is None:
             return 1.0
         if target.faults_per_sec <= 0:
@@ -201,7 +183,13 @@ class CostModel:
         return self.layer_seconds_per_fault.get(layer, self.seconds_per_fault)
 
     def batch_size_for(self, kind: str) -> int:
-        """The batch size the bench measured *kind* at (1 if unknown)."""
+        """The batch size a prediction for *kind* is priced at.
+
+        The measured batch for the measured engine, else the one the
+        bench measured *kind* at (1 if unknown).
+        """
+        if kind == self.measured_engine:
+            return self.measured_batch_size
         for rate in self.engine_rates.values():
             if rate.kind == kind and rate.batch_size > 1:
                 return rate.batch_size
@@ -227,7 +215,6 @@ class CostModel:
         space,
         *,
         engine: str | None = None,
-        batch_size: int | None = None,
         workers: int = 1,
         shards: int | None = None,
         model: str | None = None,
@@ -239,13 +226,7 @@ class CostModel:
                 "journal with cell_done events first"
             )
         engine = engine or self.measured_engine
-        if batch_size is None:
-            batch_size = (
-                self.measured_batch_size
-                if engine == self.measured_engine
-                else self.batch_size_for(engine)
-            )
-        scale = self.engine_scale(engine, batch_size)
+        scale = self.engine_scale(engine)
         bits = space.bits
         serial = 0.0
         for layer in range(len(space.layers)):
@@ -256,7 +237,7 @@ class CostModel:
             kind="exhaustive",
             model=model or self.model,
             engine=engine,
-            batch_size=int(batch_size),
+            batch_size=self.batch_size_for(engine),
             workers=int(workers),
             shards=shards,
             fault_evals=int(space.total_population),
@@ -272,7 +253,6 @@ class CostModel:
         plan,
         *,
         engine: str | None = None,
-        batch_size: int | None = None,
         workers: int = 1,
         shards: int | None = None,
         model: str | None = None,
@@ -284,13 +264,7 @@ class CostModel:
                 "journal with cell_done events first"
             )
         engine = engine or self.measured_engine
-        if batch_size is None:
-            batch_size = (
-                self.measured_batch_size
-                if engine == self.measured_engine
-                else self.batch_size_for(engine)
-            )
-        scale = self.engine_scale(engine, batch_size)
+        scale = self.engine_scale(engine)
         serial = 0.0
         for item in plan.items:
             layer = getattr(item.subpopulation, "layer", None)
@@ -305,7 +279,7 @@ class CostModel:
             kind="sampled",
             model=model or self.model,
             engine=engine,
-            batch_size=int(batch_size),
+            batch_size=self.batch_size_for(engine),
             workers=int(workers),
             shards=shards,
             fault_evals=int(plan.total_injections),
@@ -464,17 +438,13 @@ def fit_cost_model(
 
 @dataclass(frozen=True)
 class SubmitChoice:
-    """Engine / batch / shard choice for an auto-tuned submission."""
+    """Shard count for an auto-tuned submission, with its prediction."""
 
-    engine: str
-    batch_size: int
     shards: int
     prediction: CampaignPrediction
 
     def to_dict(self) -> dict:
         return {
-            "engine": self.engine,
-            "batch_size": self.batch_size,
             "shards": self.shards,
             "prediction": self.prediction.to_dict(),
         }
@@ -486,58 +456,28 @@ def choose_submit_settings(
     *,
     workers: int = 1,
     target_shard_seconds: float = DEFAULT_TARGET_SHARD_SECONDS,
-    allowed_engines: tuple[str, ...] = ("plan", "plan_vectorized", "module"),
     model: str | None = None,
 ) -> SubmitChoice:
-    """Pick engine kind, batch size and shard count from the model.
+    """Pick the shard count of an exhaustive plan-engine campaign.
 
-    The engine is the fastest benched configuration among
-    *allowed_engines* (the measured engine when no bench is loaded);
-    the shard count targets *target_shard_seconds* of predicted wall
+    The shard count targets *target_shard_seconds* of predicted wall
     time per shard, clamped so the fleet is never starved (at least one
     shard per worker) and shards never go below one cell.
     """
-    candidates: list[tuple[str, int]] = []
-    for rate in cost_model.engine_rates.values():
-        if rate.kind in allowed_engines:
-            candidates.append((rate.kind, rate.batch_size))
-    if not candidates:
-        candidates = [
-            (cost_model.measured_engine, cost_model.measured_batch_size)
-        ]
-    best = None
-    for kind, batch_size in sorted(candidates):
-        prediction = cost_model.predict_exhaustive(
-            space,
-            engine=kind,
-            batch_size=batch_size,
-            workers=workers,
-            model=model,
-        )
-        if best is None or prediction.serial_seconds < best.serial_seconds:
-            best = prediction
-    cells = len(space.layers) * space.bits
     if target_shard_seconds <= 0:
         raise CostModelError(
             f"target shard seconds must be positive, got {target_shard_seconds}"
         )
-    shards = math.ceil(best.serial_seconds / target_shard_seconds)
-    shards = max(shards, workers, 1)
-    shards = min(shards, cells)
+    serial = cost_model.predict_exhaustive(
+        space, engine="plan", workers=workers, model=model
+    ).serial_seconds
+    cells = len(space.layers) * space.bits
+    shards = math.ceil(serial / target_shard_seconds)
+    shards = min(max(shards, workers, 1), cells)
     prediction = cost_model.predict_exhaustive(
-        space,
-        engine=best.engine,
-        batch_size=best.batch_size,
-        workers=workers,
-        shards=shards,
-        model=model,
+        space, engine="plan", workers=workers, shards=shards, model=model
     )
-    return SubmitChoice(
-        engine=best.engine,
-        batch_size=best.batch_size,
-        shards=shards,
-        prediction=prediction,
-    )
+    return SubmitChoice(shards=shards, prediction=prediction)
 
 
 # -- predicted vs actual ----------------------------------------------------

@@ -121,9 +121,8 @@ class TestEngineRestrictions:
         self, tiny_model, tiny_eval_set
     ):
         images, labels = tiny_eval_set
-        for kind in ("plan", "plan_vectorized"):
-            engine = create_engine(tiny_model, images, labels, kind=kind)
-            assert engine.backend is resolve_backend(None)
+        engine = create_engine(tiny_model, images, labels, kind="plan")
+        assert engine.backend is resolve_backend(None)
 
 
 class TestCampaignConfigBackend:

@@ -26,7 +26,7 @@ from repro.faults import FaultSpace, InferenceEngine
 from repro.faults.table import cell_key
 from repro.ieee754 import FLOAT16
 from repro.models import ResNetCIFAR
-from repro.runtime import PlanEngine, VectorizedPlanEngine
+from repro.runtime import PlanEngine
 
 
 @pytest.fixture(scope="module")
@@ -165,85 +165,17 @@ class TestMergeEnforcement:
 
 
 class TestMixedEngineMerge:
-    @pytest.fixture(scope="class")
-    def vectorized(self, plan_setup):
-        engine, _space = plan_setup
-        return VectorizedPlanEngine(
-            engine.model, engine.images, engine.labels, fmt=FLOAT16
-        )
-
-    def test_vectorized_shard_merges_into_plan_campaign(
-        self, plan_setup, vectorized, tmp_path
-    ):
-        """A fleet may mix exact and vectorized workers: the vectorized
-        fingerprint differs but the verifier attested it compatible, so
-        its shards merge into a plan-engine campaign."""
+    def test_incompatible_shard_still_refused(self, plan_setup, tmp_path):
+        """There is no compatibility registry: a shard attesting any
+        other verified fingerprint is refused, whatever engine made it."""
         engine, space = plan_setup
         queue, config, specs = submitted_queue(
             tmp_path, engine, space,
             runtime=plan_attestation_runtime(engine),
         )
-        exact_stamp = ExhaustiveContext(engine, space).attestation()
-        vec_stamp = ExhaustiveContext(vectorized, space).attestation()
-        assert vec_stamp["plan_sha256"] != exact_stamp["plan_sha256"]
-        assert vec_stamp["plan_verified"] is True
-        queue.complete(specs[0], zero_arrays(specs[0], config), meta=exact_stamp)
-        queue.complete(specs[1], zero_arrays(specs[1], config), meta=vec_stamp)
-        table = merge_exhaustive(queue)
-        assert table.num_layers == len(config["layer_sizes"])
-
-    def test_exact_shard_merges_into_vectorized_campaign(
-        self, plan_setup, vectorized, tmp_path
-    ):
-        engine, space = plan_setup
-        runtime = plan_attestation_runtime(vectorized)
-        assert runtime["engine"] == "plan_vectorized"
-        queue, config, specs = submitted_queue(
-            tmp_path, engine, space, runtime=runtime,
-        )
-        exact_stamp = ExhaustiveContext(engine, space).attestation()
-        for spec in specs:
-            queue.complete(spec, zero_arrays(spec, config), meta=exact_stamp)
-        table = merge_exhaustive(queue)
-        assert table.num_layers == len(config["layer_sizes"])
-
-    def test_vectorized_shard_merges_in_fresh_process(
-        self, plan_setup, vectorized, tmp_path, monkeypatch
-    ):
-        """The compatibility registry is process-local; a standalone
-        `repro-dist merge` never built either plan.  The shard carries
-        the worker's own declarations, so the merge accepts it with an
-        empty registry."""
-        engine, space = plan_setup
-        queue, config, specs = submitted_queue(
-            tmp_path, engine, space,
-            runtime=plan_attestation_runtime(engine),
-        )
-        vec_stamp = ExhaustiveContext(vectorized, space).attestation()
-        assert engine.plan_fingerprint in vec_stamp["plan_compatible_with"]
-        for spec in specs:
-            queue.complete(spec, zero_arrays(spec, config), meta=vec_stamp)
-        from repro.check import plan as check_plan_mod
-
-        monkeypatch.setattr(
-            check_plan_mod, "_COMPATIBLE_FINGERPRINTS", {}
-        )
-        monkeypatch.setattr(check_plan_mod, "_VERIFIED_FINGERPRINTS", set())
-        table = merge_exhaustive(queue)
-        assert table.num_layers == len(config["layer_sizes"])
-
-    def test_incompatible_shard_still_refused(
-        self, plan_setup, vectorized, tmp_path
-    ):
-        """Mixing is strictly attestation-gated: a fingerprint with no
-        compatibility declaration is refused even if marked verified."""
-        engine, space = plan_setup
-        queue, config, specs = submitted_queue(
-            tmp_path, engine, space,
-            runtime=plan_attestation_runtime(vectorized),
-        )
-        vec_stamp = ExhaustiveContext(vectorized, space).attestation()
-        queue.complete(specs[0], zero_arrays(specs[0], config), meta=vec_stamp)
+        stamp = ExhaustiveContext(engine, space).attestation()
+        assert set(stamp) == {"plan_sha256", "plan_verified"}
+        queue.complete(specs[0], zero_arrays(specs[0], config), meta=stamp)
         queue.complete(
             specs[1],
             zero_arrays(specs[1], config),

@@ -119,18 +119,13 @@ class TestFit:
 class TestBench:
     def test_load_bench_maps_kinds(self, tmp_path):
         path = bench_file(
-            tmp_path,
-            {
-                "module": (1, 50.0),
-                "plan": (1, 100.0),
-                "plan_batched": (16, 200.0),
-                "plan_vectorized": (256, 400.0),
-            },
+            tmp_path, {"module": (1, 50.0), "plan": (16, 200.0)}
         )
         rates = load_bench(path)
-        assert rates["plan_batched"].kind == "plan"
-        assert rates["plan_batched"].batch_size == 16
-        assert rates["plan_vectorized"].kind == "plan_vectorized"
+        assert sorted(rates) == ["module", "plan"]
+        assert rates["plan"].kind == "plan"
+        assert rates["plan"].batch_size == 16
+        assert rates["module"].kind == "module"
         assert rates["module"].faults_per_sec == 50.0
 
     def test_engine_scale_is_relative(self, measured_journal, tmp_path):
@@ -139,20 +134,20 @@ class TestBench:
                 tmp_path,
                 {
                     "module": (1, 50.0),
-                    "plan_batched": (4, 200.0),
+                    "plan": (16, 200.0),
                 },
             )
         )
         model = fit_cost_model(summarize_journal(measured_journal), bench=bench)
-        # Measured on plan@4 (bench row plan_batched, 200 f/s); module
-        # runs at a quarter of that, so module predictions cost 4x.
-        assert model.engine_scale("module", 1) == pytest.approx(4.0)
-        assert model.engine_scale("plan", 4) == pytest.approx(1.0)
+        # Measured on the plan engine (200 f/s); module runs at a
+        # quarter of that, so module predictions cost 4x.
+        assert model.engine_scale("module") == pytest.approx(4.0)
+        assert model.engine_scale("plan") == pytest.approx(1.0)
 
     def test_missing_bench_rows_scale_to_one(self, measured_journal):
         model = fit_cost_model(summarize_journal(measured_journal))
-        assert model.engine_scale("module", 1) == 1.0
-        assert model.engine_scale("plan_vectorized", 256) == 1.0
+        assert model.engine_scale("module") == 1.0
+        assert model.engine_scale("plan") == 1.0
 
 
 class TestPredict:
@@ -261,9 +256,7 @@ class TestChooseSubmitSettings:
                 tmp_path,
                 {
                     "module": (1, 50.0),
-                    "plan": (1, 100.0),
-                    "plan_batched": (16, 200.0),
-                    "plan_vectorized": (256, 400.0),
+                    "plan": (16, 200.0),
                 },
             )
         )
@@ -277,16 +270,15 @@ class TestChooseSubmitSettings:
             faults_observed=200,
         )
 
-    def test_fastest_allowed_engine_wins(self, tmp_path, tiny_space):
+    def test_choice_prices_the_plan_engine(self, tmp_path, tiny_space):
+        """Only the shard count is chosen; the campaign runs on the one
+        engine at its measured batch size."""
         model = self.make_model(tmp_path)
         choice = choose_submit_settings(model, tiny_space, workers=2)
-        assert choice.engine == "plan_vectorized"
-        assert choice.batch_size == 256
-        exact_only = choose_submit_settings(
-            model, tiny_space, workers=2, allowed_engines=("plan", "module")
-        )
-        assert exact_only.engine == "plan"
-        assert exact_only.batch_size == 16
+        assert set(choice.to_dict()) == {"shards", "prediction"}
+        assert choice.prediction.engine == "plan"
+        assert choice.prediction.batch_size == 16
+        assert choice.prediction.shards == choice.shards
 
     def test_shards_track_target_seconds(self, tmp_path, tiny_space):
         model = self.make_model(tmp_path)

@@ -147,3 +147,89 @@ class TestLegacyQueues:
             status = json.loads(capsys.readouterr().out)
             assert len(status["pending"]) == 2
             assert not status["leased"] and not status["done"]
+
+    #: Structural plan fingerprint of resnet8_mini as the last release
+    #: with the separate vectorized engine recorded it.
+    VECTORIZED_PLAN = (
+        "5859963b148ef01cf26fe2d8941e0fed9c6e477d2c1bbdc2bace1db7b427fca8"
+    )
+
+    def _submitted_record(self, root, capsys):
+        submit = [
+            "submit", str(root), "--kind", "exhaustive",
+            "--model", "resnet8_mini", "--eval-size", "8", "--shards", "2",
+        ]
+        assert dist_main(submit) == 0
+        capsys.readouterr()
+        return json.loads((root / "campaign.json").read_text())
+
+    def test_work_refuses_queue_recorded_with_vectorized_engine(
+        self, tmp_path, capsys
+    ):
+        """A queue recorded under the removed ``plan_vectorized`` engine
+        is refused, naming the engine, before any shard is claimed."""
+        root = tmp_path / "q"
+        record = self._submitted_record(root, capsys)
+        record["runtime"].update(
+            engine="plan_vectorized", plan_sha256=self.VECTORIZED_PLAN
+        )
+        (root / "campaign.json").write_text(json.dumps(record))
+        assert dist_main(["work", str(root), "--no-wait"]) == 2
+        assert "'plan_vectorized'" in capsys.readouterr().err
+        assert dist_main(["status", str(root), "--json"]) == 0
+        status = json.loads(capsys.readouterr().out)
+        assert len(status["pending"]) == 2
+        assert not status["leased"] and not status["done"]
+
+    def test_merge_names_removed_engine_for_vectorized_shard(
+        self, tmp_path, capsys
+    ):
+        """A ``plan`` queue partly drained by a worker of the removed
+        vectorized engine holds a shard attesting that engine's plan
+        fingerprint: the merge refuses it and names the likely cause."""
+        import numpy as np
+
+        from repro.dist import ShardQueue
+        from repro.faults.table import cell_key
+
+        root = tmp_path / "q"
+        record = self._submitted_record(root, capsys)
+        queue = ShardQueue(root)
+        config = record["config"]
+        stamps = [
+            {"plan_sha256": record["runtime"]["plan_sha256"]},
+            {"plan_sha256": self.VECTORIZED_PLAN},
+        ]
+        for stamp in stamps:
+            spec, lease = queue.claim(worker="w", lease_seconds=60.0)
+            arrays = {
+                f"cell_{cell_key(int(u[0]), int(u[1]))}": np.zeros(
+                    (config["layer_sizes"][int(u[0])],
+                     len(config["fault_models"])),
+                    dtype=np.uint8,
+                )
+                for u in spec.units
+            }
+            queue.complete(
+                spec, arrays, lease=lease, meta=dict(stamp, plan_verified=True)
+            )
+        assert dist_main(["merge", str(root)]) == 2
+        err = capsys.readouterr().err
+        assert "does not attest" in err
+        assert self.VECTORIZED_PLAN[:12] in err
+        assert "removed engine kind" in err
+
+    def test_queues_recorded_with_either_engine_still_build(self):
+        """Queues recorded as ``plan``, as ``module`` or with no engine
+        key (the module engine, before engine selection existed) pass
+        the engine gate and rebuild their engine."""
+        from repro.cli.dist import _build_engine
+
+        base = {"model": "resnet8_mini", "eval_size": 4}
+        for runtime, kind in (
+            (dict(base, engine="plan"), "plan"),
+            (dict(base, engine="module"), "module"),
+            (base, "module"),
+        ):
+            engine, _space = _build_engine(runtime)
+            assert engine.kind == kind

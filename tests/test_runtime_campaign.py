@@ -195,41 +195,19 @@ class TestDistRefusal:
         assert config["engine"] == "plan"
         verify_context_config(ExhaustiveContext(plan_engine, space), config)
 
-    def test_module_refusal_survives_vectorized_attestation(
-        self, campaign_setup
-    ):
-        """The vectorized engine declares itself compatible with *both*
-        the plan and module engines; those pairwise declarations must
-        not transitively whitelist module workers on plan campaigns."""
-        from repro.runtime import VectorizedPlanEngine
-
-        module_engine, plan_engine, space = campaign_setup
-        VectorizedPlanEngine(
-            plan_engine.model,
-            plan_engine.images,
-            plan_engine.labels,
-            fmt=FLOAT16,
-        )
-        config = exhaustive_config(plan_engine, space)
-        context = ExhaustiveContext(module_engine, space)
-        with pytest.raises(DistError, match="fingerprint mismatch"):
-            verify_context_config(context, config)
-
 
 class TestCliWiring:
     def test_repro_run_engine_flags(self):
+        """One engine: only its batch size is tunable."""
         from repro.cli.run import build_parser
 
         args = build_parser().parse_args([])
-        assert args.engine == "plan"
+        assert not hasattr(args, "engine")
         assert args.batch_size is None
-        args = build_parser().parse_args(
-            ["--engine", "module", "--batch-size", "4"]
-        )
-        assert args.engine == "module"
+        args = build_parser().parse_args(["--batch-size", "4"])
         assert args.batch_size == 4
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["--engine", "jit"])
+            build_parser().parse_args(["--engine", "module"])
 
     def test_repro_dist_submit_engine_flags(self):
         from repro.cli.dist import build_parser
@@ -237,11 +215,27 @@ class TestCliWiring:
         args = build_parser().parse_args(
             ["submit", "q", "--model", "resnet8_mini"]
         )
-        assert args.engine == "plan"
-        args = build_parser().parse_args(
-            ["submit", "q", "--model", "resnet8_mini", "--engine", "module"]
-        )
-        assert args.engine == "module"
+        assert not hasattr(args, "engine")
+        for argv in (["submit", "q"], ["work", "q"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([*argv, "--engine", "plan"])
+
+    @pytest.mark.parametrize(
+        "module, argv",
+        [
+            ("repro.cli.run", ["--help"]),
+            ("repro.cli.dist", ["submit", "--help"]),
+            ("repro.cli.dist", ["work", "--help"]),
+            ("repro.cli.plan", ["--help"]),
+        ],
+    )
+    def test_no_engine_flag(self, module, argv, capsys):
+        import importlib
+
+        parser = importlib.import_module(module).build_parser()
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv)
+        assert "--engine" not in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "module, argv",

@@ -1,11 +1,11 @@
-"""Vectorized engine guarantees: bit-identity, fingerprints, conformance.
+"""Certified plan engine guarantees: bit-identity against the oracle.
 
-The vectorized engine's whole contract is that certification and
-variant-axis stacking change throughput, never outcomes: its tables must
-be bit-identical to the exact plan engine's, its fingerprint must be
-*distinct* (the execution strategy differs) yet *attested compatible*
-(the outcomes provably do not), and the dist layer must accept exactly
-the mixed-engine fleets that attestation covers — and refuse the rest.
+The plan engine's whole contract is that no-flip certification,
+variant stacking and dense delegation change throughput, never
+outcomes: its predictions and tables must be bit-identical to the
+module engine's (the plain module-tree forward pass, kept as the
+oracle) and to the committed exhaustive artifacts, under its one
+``"plan"`` identity.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.check import fingerprints_compatible, run_conformance
+from repro.check import run_conformance
 from repro.data import SynthCIFAR
 from repro.dist import (
     DistError,
@@ -21,31 +21,33 @@ from repro.dist import (
     exhaustive_config,
     verify_context_config,
 )
-from repro.faults import Fault, FaultModel, FaultSpace, OutcomeTable
+from repro.faults import (
+    Fault,
+    FaultModel,
+    FaultSpace,
+    InferenceEngine,
+    OutcomeTable,
+)
+from repro.faults.table import timed_classify_cell
 from repro.ieee754 import FLOAT16
 from repro.models import ResNetCIFAR, create_model
-from repro.runtime import (
-    DEFAULT_VEC_BATCH_SIZE,
-    PlanEngine,
-    VectorizedPlanEngine,
-    create_engine,
-)
+from repro.runtime import DEFAULT_BATCH_SIZE, PlanEngine, create_engine
+from repro.sfi.artifacts import exhaustive_table_path
+from repro.telemetry import resolve_telemetry
 
 
 @pytest.fixture(scope="module")
 def tiny_setup():
-    """Exact and vectorized plan engines over the same tiny model."""
+    """The module-engine oracle and the plan engine over one tiny model."""
     model = ResNetCIFAR(blocks_per_stage=1, widths=(2, 4, 6), seed=3)
     model.eval()
     data = SynthCIFAR("test", size=8, seed=42)
-    exact = PlanEngine(
-        model, data.images, data.labels, fmt=FLOAT16, batch_size=8
-    )
-    vectorized = VectorizedPlanEngine(
+    oracle = InferenceEngine(model, data.images, data.labels, fmt=FLOAT16)
+    engine = PlanEngine(
         model, data.images, data.labels, fmt=FLOAT16, batch_size=64
     )
-    space = FaultSpace(exact.layers, fmt=FLOAT16)
-    return exact, vectorized, space
+    space = FaultSpace(engine.layers, fmt=FLOAT16)
+    return oracle, engine, space
 
 
 def all_layer_faults(engine, *, bits=None) -> list[Fault]:
@@ -70,22 +72,22 @@ def all_layer_faults(engine, *, bits=None) -> list[Fault]:
 
 class TestBitIdentity:
     def test_exhaustive_table_is_bit_identical(self, tiny_setup):
-        exact, vectorized, space = tiny_setup
-        table_exact = OutcomeTable.from_exhaustive(exact, space, workers=1)
-        table_vec = OutcomeTable.from_exhaustive(vectorized, space, workers=1)
-        for left, right in zip(table_exact.outcomes, table_vec.outcomes):
+        oracle, engine, space = tiny_setup
+        table_oracle = OutcomeTable.from_exhaustive(oracle, space, workers=1)
+        table_plan = OutcomeTable.from_exhaustive(engine, space, workers=1)
+        for left, right in zip(table_oracle.outcomes, table_plan.outcomes):
             assert left.dtype == right.dtype == np.uint8
             assert np.array_equal(left, right)
-        assert table_vec.metadata["inference_count"] == (
-            table_exact.metadata["inference_count"]
+        assert table_plan.metadata["inference_count"] == (
+            table_oracle.metadata["inference_count"]
         )
 
     def test_prediction_matrix_is_bit_identical(self, tiny_setup):
-        exact, vectorized, _ = tiny_setup
-        faults = all_layer_faults(exact)
-        preds_exact = exact.predictions_for_faults(faults)
-        preds_vec = vectorized.predictions_for_faults(faults)
-        assert np.array_equal(np.asarray(preds_exact), np.asarray(preds_vec))
+        oracle, engine, _ = tiny_setup
+        faults = all_layer_faults(engine)
+        preds_oracle = oracle.predictions_for_faults(faults)
+        preds_plan = engine.predictions_for_faults(faults)
+        assert np.array_equal(np.asarray(preds_oracle), np.asarray(preds_plan))
 
     def test_mobilenet_depthwise_fallback_is_bit_identical(self):
         """Depthwise/grouped convs are not batch-invariant; the engine
@@ -93,72 +95,64 @@ class TestBitIdentity:
         model = create_model("mobilenetv2_mini")
         model.eval()
         data = SynthCIFAR("test", size=8, seed=42)
-        exact = PlanEngine(model, data.images, data.labels, batch_size=8)
-        vectorized = VectorizedPlanEngine(
-            model, data.images, data.labels, batch_size=64
-        )
-        faults = all_layer_faults(exact, bits=(1, 24, 30))
-        preds_exact = exact.predictions_for_faults(faults)
-        preds_vec = vectorized.predictions_for_faults(faults)
-        assert np.array_equal(np.asarray(preds_exact), np.asarray(preds_vec))
-        assert exact.classify_many(faults) == vectorized.classify_many(faults)
+        oracle = InferenceEngine(model, data.images, data.labels)
+        engine = PlanEngine(model, data.images, data.labels, batch_size=64)
+        faults = all_layer_faults(engine, bits=(1, 24, 30))
+        preds_oracle = oracle.predictions_for_faults(faults)
+        preds_plan = engine.predictions_for_faults(faults)
+        assert np.array_equal(np.asarray(preds_oracle), np.asarray(preds_plan))
+        assert oracle.classify_many(faults) == engine.classify_many(faults)
+
+
+class TestArtifactCells:
+    #: Two committed-artifact cells per model that, together, take every
+    #: strategy: pre-certified faults, rows certified while seeding or
+    #: walking, and mostly-alive variants delegated to the dense tail.
+    CELLS = {
+        "resnet8_mini": ((5, 26), (6, 26)),
+        "mobilenetv2_mini": ((9, 26), (10, 30)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CELLS))
+    def test_default_engine_reproduces_artifact_cells(self, name):
+        table = OutcomeTable.load(exhaustive_table_path(name))
+        model = create_model(name, pretrained=True)
+        data = SynthCIFAR("test", size=64, seed=1234)
+        engine = create_engine(model, data.images, data.labels)
+        space = FaultSpace(engine.layers)
+        telemetry = resolve_telemetry(None)
+        for layer, bit in self.CELLS[name]:
+            cell, _, _ = timed_classify_cell(
+                engine, space, layer, bit, telemetry
+            )
+            expected = table.outcomes[layer][:, bit, :]
+            assert cell.dtype == expected.dtype
+            assert np.array_equal(cell, expected), (layer, bit)
+        assert engine.precertified > 0
+        assert engine.certified_rows > 0
+        assert engine.dense_fallback_faults > 0
 
 
 class TestFingerprints:
-    def test_vectorized_fingerprint_is_distinct_but_compatible(
-        self, tiny_setup
-    ):
-        exact, vectorized, _ = tiny_setup
-        assert vectorized.plan_fingerprint != exact.plan_fingerprint
-        assert fingerprints_compatible(
-            vectorized.plan_fingerprint, exact.plan_fingerprint
-        )
-        assert fingerprints_compatible(
-            exact.plan_fingerprint, vectorized.plan_fingerprint
-        )
-
-    def test_engine_fingerprints_are_attested_compatible(self, tiny_setup):
-        exact, vectorized, _ = tiny_setup
-        assert vectorized.fingerprint() != exact.fingerprint()
-        assert fingerprints_compatible(
-            vectorized.fingerprint(), exact.fingerprint()
-        )
-        assert fingerprints_compatible(
-            vectorized.fingerprint(), vectorized.fingerprint(kind="module")
-        )
-
-    def test_unrelated_fingerprints_are_not_compatible(self):
-        assert not fingerprints_compatible("a" * 64, "b" * 64)
-
     def test_create_engine_wiring(self, tiny_setup):
-        exact, _, _ = tiny_setup
+        _, engine, _ = tiny_setup
         data = SynthCIFAR("test", size=8, seed=42)
-        engine = create_engine(
-            exact.model, data.images, data.labels, kind="plan_vectorized"
-        )
-        assert isinstance(engine, VectorizedPlanEngine)
-        assert engine.kind == "plan_vectorized"
-        assert engine.batch_size == DEFAULT_VEC_BATCH_SIZE
+        default = create_engine(engine.model, data.images, data.labels)
+        assert type(default) is PlanEngine
+        assert default.kind == "plan"
+        assert default.batch_size == DEFAULT_BATCH_SIZE == 16
+        assert default.plan_fingerprint == engine.plan_fingerprint
+        with pytest.raises(ValueError, match="unknown engine kind"):
+            create_engine(
+                engine.model, data.images, data.labels,
+                kind="plan_vectorized",
+            )
 
 
 class TestMixedEngineDist:
-    def test_vectorized_worker_joins_exact_campaign(self, tiny_setup):
-        """A campaign submitted with the exact plan engine accepts a
-        vectorized worker: the verifier attested the fingerprints
-        outcome-compatible when the vectorized plan was checked."""
-        exact, vectorized, space = tiny_setup
-        config = exhaustive_config(exact, space)
-        verify_context_config(ExhaustiveContext(vectorized, space), config)
-
-    def test_exact_worker_joins_vectorized_campaign(self, tiny_setup):
-        exact, vectorized, space = tiny_setup
-        config = exhaustive_config(vectorized, space)
-        verify_context_config(ExhaustiveContext(exact, space), config)
-
     def test_undeclared_engines_stay_refused(self, tiny_setup):
-        """Compatibility is pairwise attestation, not a free-for-all: an
-        engine over different golden weights shares no declaration."""
-        _, vectorized, _ = tiny_setup
+        """An engine over different golden weights is refused."""
+        _, engine, _ = tiny_setup
         other_model = ResNetCIFAR(
             blocks_per_stage=1, widths=(2, 4, 6), seed=7
         )
@@ -171,7 +165,7 @@ class TestMixedEngineDist:
         config = exhaustive_config(other, other_space)
         with pytest.raises(DistError, match="fingerprint mismatch"):
             verify_context_config(
-                ExhaustiveContext(vectorized, other_space), config
+                ExhaustiveContext(engine, other_space), config
             )
 
 
@@ -181,50 +175,31 @@ class TestConformance:
         model.eval()
         report = run_conformance(model, eval_size=8, faults=48, seed=1)
         assert report.ok
-        assert report.bit_exact_attested
-        assert report.tolerance == 0.0
         assert report.prediction_flips == 0
         assert report.outcome_flips == 0
         assert report.faults == 48
         payload = report.to_dict()
         assert payload["model"] == "ResNetCIFAR"
         assert payload["flipped_faults"] == []
+        assert "tolerance" not in payload
 
 
 class TestCliWiring:
-    def test_run_parser_accepts_vectorized(self):
-        from repro.cli.run import build_parser
-
-        args = build_parser().parse_args(["--engine", "plan_vectorized"])
-        assert args.engine == "plan_vectorized"
-
-    def test_dist_parsers_accept_vectorized(self):
-        from repro.cli.dist import build_parser
-
-        args = build_parser().parse_args(
-            ["submit", "q", "--engine", "plan_vectorized"]
-        )
-        assert args.engine == "plan_vectorized"
-        args = build_parser().parse_args(
-            ["work", "q", "--engine", "plan_vectorized"]
-        )
-        assert args.engine == "plan_vectorized"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["work", "q", "--engine", "module"])
-
     def test_check_conform_parser(self):
         from repro.cli.check import build_parser
 
         args = build_parser().parse_args(["conform"])
         assert args.model is None
         assert args.faults == 128
-        assert args.tolerance == 0.0
+        assert not hasattr(args, "tolerance")
         args = build_parser().parse_args(
             ["conform", "--model", "resnet14_mini", "--model",
              "mobilenetv2_mini", "--faults", "64"]
         )
         assert args.model == ["resnet14_mini", "mobilenetv2_mini"]
         assert args.faults == 64
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["conform", "--tolerance", "0.1"])
 
     def test_check_lint_default_covers_benchmarks(self):
         from repro.cli.check import build_parser
