@@ -86,8 +86,8 @@ def plan_fingerprint(plan: ExecutionPlan) -> str:
         "num_slots": plan.num_slots,
         "input_slot": plan.input_slot,
         "output_slot": plan.output_slot,
-        # Constant: keeps checkpoints, queues and shard stamps written
-        # while fusion still existed valid.
+        # Constant: keeps queues and shard stamps written while fusion
+        # still existed valid.
         "fusions": [],
         "ops": [
             [

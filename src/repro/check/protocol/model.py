@@ -351,7 +351,10 @@ class ProtocolModel:
             fs.write(self.lease(sid), ("lease", worker, True))
         return StepResult(None, None, f"expire: lease on {sid} times out")
 
-    # release_expired: plan computed at start, three effects per victim.
+    # release_expired: plan computed at start; per victim a re-check
+    # (skip a spec that left leased/, retire a completed one) and then
+    # three effects, which a completion landing after the re-check
+    # still applies (claim's done-check drops the duplicate).
 
     def release_plan(self, fs: ModelFS) -> tuple[tuple, ...]:
         """Effects a release pass would apply, from the disk state *now*.
@@ -372,6 +375,7 @@ class ProtocolModel:
             expired = record is None or record[2]
             if not expired:
                 continue
+            effects.append(("recheck", sid))
             effects.append(("requeue_write", sid, units, attempts))
             effects.append(("requeue_rename", sid, attempts))
             effects.append(("unlink_lease", sid))
@@ -381,7 +385,21 @@ class ProtocolModel:
         self, fs: ModelFS, actor: str, pc: int, data: tuple
     ) -> StepResult:
         effect = data[pc]
-        if effect[0] == "requeue_write":
+        step = 1
+        if effect[0] == "recheck":
+            # Re-read right before acting, as the real pass does: a
+            # shard completed since the plan was taken is not requeued.
+            sid = effect[1]
+            if not fs.exists(self.leased(sid)):
+                step = 4
+                label = f"release {sid}: skipped (spec left leased/)"
+            elif fs.exists(self.done(sid)):
+                fs.unlink(self.leased(sid))
+                step = 3
+                label = f"release {sid}: retire completed leased spec"
+            else:
+                label = f"release {sid}: re-check passed"
+        elif effect[0] == "requeue_write":
             _kind, sid, units, attempts = effect
             self._write_spec(fs, self.leased(sid), sid, units, attempts + 1)
             label = f"release {sid}: rewrite leased spec (attempts={attempts + 1})"
@@ -397,9 +415,9 @@ class ProtocolModel:
         else:
             fs.unlink(self.lease(effect[1]))
             label = f"release {effect[1]}: unlink lease file"
-        if pc + 1 < len(data):
+        if pc + step < len(data):
             return StepResult(
-                OpState("release_expired", pc + 1, data), None, label
+                OpState("release_expired", pc + step, data), None, label
             )
         return StepResult(None, None, label)
 

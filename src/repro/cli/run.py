@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import argparse
 import sys
+import tempfile
+from pathlib import Path
 
 from repro.cli import (
     add_telemetry_arguments,
     finish_telemetry,
     telemetry_from_args,
 )
+from repro.dist import DistError, run_sharded_campaign
 from repro.faults import InferenceOracle, TableOracle
+from repro.faults.table import resolve_workers
 from repro.models import MODELS
 from repro.sfi import (
     CampaignRunner,
@@ -23,6 +27,10 @@ from repro.sfi import (
 from repro.sfi.artifacts import load_or_run_exhaustive
 from repro.store import CorruptArtifactError
 from repro.telemetry import progress_printer
+
+#: Sampled-campaign shards per worker: enough that a slow shard does not
+#: gate the fleet, few enough that queue overhead stays small.
+SHARDS_PER_WORKER = 4
 
 _PLANNERS = {
     "network-wise": NetworkWiseSFI,
@@ -76,24 +84,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="processes for the exhaustive campaign when the cache is "
-        "cold, and for the sampled campaign's strata "
-        "(default: REPRO_WORKERS or all CPU cores)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="run the cold-cache exhaustive campaign through repro.dist: "
-        "split it into N shards drained by a local worker fleet and "
-        "merged deterministically (same table as a serial run)",
-    )
-    parser.add_argument(
-        "--no-resume",
-        action="store_true",
-        help="do not checkpoint the exhaustive campaign / resume from an "
-        "earlier interrupted one",
+        help="local worker processes for the exhaustive campaign when the "
+        "cache is cold, and for the sampled campaign's strata; both run "
+        "through a repro.dist queue (1 runs the sampled campaign "
+        "serially; default: REPRO_WORKERS or all CPU cores)",
     )
     add_telemetry_arguments(parser)
     return parser
@@ -110,18 +104,30 @@ def main(argv: list[str] | None = None) -> int:
             eval_size=args.eval_size,
             batch_size=args.batch_size,
             workers=args.workers,
-            shards=args.shards,
-            resume=not args.no_resume,
             telemetry=telemetry,
         )
-    except (CorruptArtifactError, ValueError) as exc:
+    except (CorruptArtifactError, DistError, ValueError) as exc:
         print(f"repro-run: error: {exc}", file=sys.stderr)
         return 2
     planner = _PLANNERS[args.method](args.error_margin, args.confidence)
     plan = planner.plan(space)
     oracle = InferenceOracle(engine) if args.live else TableOracle(table, space)
-    runner = CampaignRunner(oracle, space, telemetry=telemetry)
-    result = runner.run(plan, seed=args.seed, workers=args.workers)
+    workers = resolve_workers(args.workers)
+    if workers > 1:
+        with tempfile.TemporaryDirectory(prefix="repro-run-") as root:
+            result = run_sharded_campaign(
+                oracle,
+                space,
+                plan,
+                Path(root) / "queue",
+                seed=args.seed,
+                shards=SHARDS_PER_WORKER * workers,
+                workers=workers,
+                telemetry=telemetry,
+            )
+    else:
+        runner = CampaignRunner(oracle, space, telemetry=telemetry)
+        result = runner.run(plan, seed=args.seed)
     report = validate_campaign(result, table)
     print(result.summary())
     print(

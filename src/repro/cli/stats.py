@@ -3,7 +3,7 @@
 Reads the JSONL journal written by ``repro-run --trace`` (or any other
 instrumented entry point) and reconstructs, per campaign: per-phase span
 timings, per-(layer, bit) cell wall times, overall faults/sec and
-inferences/sec, per-worker utilisation, and checkpoint/resume behaviour.
+inferences/sec, per-worker utilisation, and resume behaviour.
 
 Distributed campaigns write one journal per worker (``repro-dist work
 --trace``); pass them all and their events are merged by timestamp into

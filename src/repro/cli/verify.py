@@ -21,6 +21,7 @@ from repro.store import (
     verify_artifact,
     write_manifest,
 )
+from repro.store.manifest import LOG_NAME, MANIFEST_NAME
 from repro.utils import artifacts_dir
 
 
@@ -63,7 +64,8 @@ def _artifact_directories(root: Path) -> list[Path]:
     directories = {path.parent for path in root.rglob("*.npz")}
     # Directories whose manifests list files that have since vanished
     # must still be checked.
-    directories |= {path.parent for path in root.rglob("MANIFEST.json")}
+    for name in (MANIFEST_NAME, LOG_NAME):
+        directories |= {path.parent for path in root.rglob(name)}
     return sorted(directories)
 
 

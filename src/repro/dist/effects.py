@@ -20,6 +20,12 @@ The declaration order *is* the crash-safety argument:
   **before** enqueueing children or dropping the ``.splitting`` parent
   — a crash in between is healed by ``recover_splits`` re-deriving the
   children from the durable record.
+- ``release_expired`` retires, rather than requeues, a leased spec whose
+  result it finds already in ``done/`` — requeueing finished work would
+  only recreate the retired spec and count a failed attempt.
+- ``reclaim`` drops the lease file **before** moving the spec back to
+  ``pending/`` — a crash in between leaves a lease-less leased spec,
+  which the next ``reclaim`` moves.
 - ``fail`` requeues/poisons the spec copy **before** unlinking the
   leased one — a crash in between leaves a duplicate that ``claim``'s
   done-set check later drops.
@@ -112,6 +118,9 @@ PROTOCOL_SPEC: dict[str, dict[str, tuple[DeclaredEffect, ...]]] = {
             _e("unlink", "lease", optional=True),
         ),
         "ShardQueue.release_expired": (
+            # A completed shard (result already in done/) is retired,
+            # never requeued: its holder's complete() tail, finished.
+            _e("unlink", "leased", "lease", repeat=True, optional=True),
             _e("write", "leased", repeat=True, optional=True),
             _e(
                 "rename",
@@ -121,6 +130,12 @@ PROTOCOL_SPEC: dict[str, dict[str, tuple[DeclaredEffect, ...]]] = {
                 optional=True,
             ),
             _e("unlink", "lease", repeat=True, optional=True),
+        ),
+        "ShardQueue.reclaim": (
+            _e("unlink", "lease", repeat=True, optional=True),
+            # A completed shard is retired; any other moves back as is.
+            _e("unlink", "leased", repeat=True, optional=True),
+            _e("rename", "leased->pending", repeat=True, optional=True),
         ),
     },
     "repro.dist.lease": {

@@ -1,7 +1,7 @@
 """Deterministic merge of per-shard results.
 
 The merge is a pure function of the ``done/`` directory: shard results
-are loaded through the verified store (zip structure + ``MANIFEST.json``
+are loaded through the verified store (zip structure + manifest
 checksum), each result's embedded config fingerprint is checked against
 the campaign's, and the table/result is assembled in a fixed order — so
 the output is bit-identical to a serial run no matter how many shards or
@@ -25,6 +25,7 @@ from repro.faults.table import OutcomeTable, cell_key
 from repro.ieee754 import format_by_name
 from repro.sfi.granularity import Granularity
 from repro.sfi.results import CampaignResult
+from repro.store import load_manifest
 from repro.telemetry import Telemetry, resolve_telemetry
 
 
@@ -85,6 +86,7 @@ def _shard_results(
 ) -> Iterator[tuple[str, dict, dict[str, np.ndarray]]]:
     """Yield each done shard's (meta, arrays), refusing foreign results."""
     expected_plan = _expected_plan_attestation(campaign)
+    manifest = load_manifest(queue.done_dir)
     for shard_id in campaign["shards"]:
         if not queue.result_path(shard_id).is_file():
             continue  # allow_partial merges skip missing shards
@@ -94,6 +96,7 @@ def _shard_results(
                 "delete the file and re-run `repro-dist work "
                 f"{queue.root}`"
             ),
+            manifest=manifest,
         )
         problem = spec_metadata_matches(meta, campaign)
         if problem is not None:

@@ -9,7 +9,8 @@ host or on others sharing the filesystem — drain cooperatively:
       campaign.json          # config + fingerprint + ordered shard ids
       pending/<id>.json      # shard specs awaiting a worker
       leased/<id>.json       # claimed specs (+ <id>.lease.json deadlines)
-      done/<id>.npz          # per-shard results (verified store + MANIFEST)
+      done/<id>.npz          # per-shard results (verified store; checksums
+                             # appended to done/MANIFEST.log)
       poison/<id>.json       # shards that failed repeatedly, with history
 
 Every transition is a single atomic ``rename`` or an atomic write from
@@ -353,19 +354,35 @@ class ShardQueue:
     ) -> tuple[ShardSpec, Lease] | None:
         """Atomically take one pending shard, or ``None`` if none is ready.
 
-        The winning rename moves the spec into ``leased/``; the lease
-        file written right after carries the deadline.  Shards inside
-        their retry backoff window (``not_before`` in the future) are
-        skipped; shards that already have a result in ``done/`` are
-        dropped rather than re-executed.
+        Shards are taken in the campaign's shard order: an exhaustive
+        campaign's cells layer by layer, so a worker's consecutive cells
+        share the engine's per-layer caches.  The winning rename moves
+        the spec into ``leased/``; the lease file written right after
+        carries the deadline.  Shards inside their retry backoff window
+        (``not_before`` in the future) are skipped; shards that already
+        have a result in ``done/`` are dropped rather than re-executed.
         """
         now = time.time() if now is None else now
-        done = self.done_ids()
-        for path in sorted(self.pending_dir.glob("*.json")):
+        try:
+            names = os.listdir(self.pending_dir)
+        except OSError:
+            names = []  # nothing submitted yet
+        try:
+            shards = self.campaign().get("shards", [])
+        except DistError:
+            shards = []
+        order = {shard_id: at for at, shard_id in enumerate(shards)}
+        names.sort(
+            key=lambda name: (order.get(name[: -len(".json")], len(order)), name)
+        )
+        for name in names:
+            if not name.endswith(".json"):
+                continue  # a split in progress or a staged write
+            path = self.pending_dir / name
             spec = self._read_spec(path)
             if spec is None:
                 continue
-            if spec.shard_id in done:
+            if self.result_path(spec.shard_id).exists():
                 # A previous holder finished after its lease expired; the
                 # requeued copy is redundant.
                 try:
@@ -411,8 +428,8 @@ class ShardQueue:
         """Persist a shard's result and retire the spec.
 
         The result lands in ``done/`` through the verified store (atomic
-        write + ``MANIFEST.json`` checksum), stamped with the shard's
-        identity so the merge can refuse results from a different
+        write, checksum appended to the manifest log), stamped with the
+        shard's identity so the merge can refuse results from a different
         campaign.  *meta* adds worker-side attestations (e.g. the
         verified plan fingerprint) to that stamp.  Completion is
         idempotent: a worker whose lease expired mid-run may finish
@@ -442,7 +459,7 @@ class ShardQueue:
         )
         self.done_dir.mkdir(parents=True, exist_ok=True)
         path = self.result_path(spec.shard_id)
-        save_verified_npz(path, payload)
+        save_verified_npz(path, payload, append=True)
         for stale in (
             self.leased_dir / f"{spec.shard_id}.json",
             self.pending_dir / f"{spec.shard_id}.json",
@@ -456,11 +473,18 @@ class ShardQueue:
         return path
 
     def load_result(
-        self, shard_id: str, *, regenerate: str | None = None
+        self,
+        shard_id: str,
+        *,
+        regenerate: str | None = None,
+        manifest: dict | None = None,
     ) -> tuple[dict, dict[str, np.ndarray]]:
-        """Load and validate one shard result: ``(shard_meta, arrays)``."""
+        """Load and validate one shard result: ``(shard_meta, arrays)``.
+
+        *manifest*: ``done/``'s manifest, when the caller read it once.
+        """
         archive = load_verified_npz(
-            self.result_path(shard_id), regenerate=regenerate
+            self.result_path(shard_id), regenerate=regenerate, entries=manifest
         )
         arrays = dict(archive)
         meta_raw = arrays.pop("shard", None)
@@ -541,6 +565,20 @@ class ShardQueue:
         the supervisor on every tick — so a single dead worker never
         wedges the campaign.  Returns ``[(shard_id, outcome), ...]``
         where outcome is ``"requeued"`` or ``"poisoned"``.
+
+        A shard its holder has completed is not requeued: requeueing it
+        would recreate the retired spec and count a failed attempt.  A
+        spec that has left ``leased/`` since it was read is skipped; one
+        whose result is already in ``done/`` (its holder died inside
+        :meth:`complete`) is retired as :meth:`complete` would have.  A
+        completion landing between that re-check and the requeue write
+        is still requeued; :meth:`claim` then drops the redundant copy
+        without running it.
+
+        *now* decides expiry only.  The retry backoff of a requeued shard
+        counts from the real clock, so a caller forcing expiry with a
+        future *now* (a dead local fleet) does not also hold the shard
+        back until that future time.
         """
         now = time.time() if now is None else now
         released = []
@@ -558,13 +596,21 @@ class ShardQueue:
                 continue
             record = read_lease(lease_path) or {}
             holder = record.get("worker", "unknown worker")
+            if not path.exists():
+                continue  # retired or requeued since the spec was read
+            if self.result_path(spec.shard_id).exists():
+                for stale in (path, lease_path):
+                    try:
+                        stale.unlink()
+                    except OSError:
+                        pass
+                continue
             outcome = self.fail(
                 spec,
                 f"lease expired (held by {holder}, deadline {deadline:.3f})",
                 max_attempts=max_attempts,
                 backoff_base=backoff_base,
                 backoff_cap=backoff_cap,
-                now=now,
             )
             try:
                 lease_path.unlink()
@@ -572,6 +618,36 @@ class ShardQueue:
                 pass
             released.append((spec.shard_id, outcome))
         return released
+
+    def reclaim(self) -> list[str]:
+        """Put every leased shard back in ``pending/``; returns their ids.
+
+        For leases no live worker holds (a killed run's, a stopped local
+        fleet's).  A kill is not a failed shard: unlike
+        :meth:`release_expired` no attempt is counted.  A shard whose
+        result is already in ``done/`` is retired instead.
+        """
+        reclaimed = []
+        for path in sorted(self.leased_dir.glob("*.json")):
+            if path.name.endswith(".lease.json"):
+                continue
+            shard_id = path.stem
+            try:
+                (self.leased_dir / f"{shard_id}.lease.json").unlink()
+            except OSError:
+                pass
+            if self.result_path(shard_id).exists():
+                try:
+                    path.unlink()
+                except OSError:
+                    pass
+                continue
+            try:
+                os.rename(path, self.pending_dir / path.name)
+            except OSError:
+                continue
+            reclaimed.append(shard_id)
+        return reclaimed
 
     # -- inspection --------------------------------------------------------
 

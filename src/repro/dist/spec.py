@@ -64,7 +64,7 @@ def plan_hash(plan: CampaignPlan, *, seed: int) -> str:
 
 
 def exhaustive_config(engine: FaultInjectionEngine, space: FaultSpace) -> dict:
-    """Identity of an exhaustive campaign (same as the checkpoint config)."""
+    """Identity of an exhaustive campaign: its ``campaign_config`` + kind."""
     config = dict(campaign_config(engine, space))
     config["kind"] = EXHAUSTIVE
     config["bits"] = space.bits

@@ -14,14 +14,16 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from typing import Any, Callable
 from dataclasses import dataclass
+from multiprocessing.connection import wait
+from typing import Any, Callable
 
 from repro.dist.merge import merge_exhaustive, merge_sampled
 from repro.dist.queue import ShardQueue
 from repro.dist.rebalance import Rebalancer
 from repro.dist.spec import (
     DistError,
+    ShardSpec,
     make_exhaustive_shards,
     make_sampled_shards,
 )
@@ -37,6 +39,15 @@ from repro.faults.table import OutcomeTable, resolve_workers
 from repro.sfi.planners import CampaignPlan
 from repro.sfi.results import CampaignResult
 from repro.telemetry import Telemetry, resolve_telemetry
+
+
+#: Seconds between a local fleet's supervision ticks (lease expiry,
+#: progress events) while no worker has exited.
+FLEET_POLL_SECONDS = 0.25
+
+#: Idle poll of a local worker: the parent joins every worker before it
+#: merges, so this is the latency from the last result to the merge.
+FLEET_IDLE_POLL_SECONDS = 0.01
 
 
 @dataclass(frozen=True)
@@ -134,6 +145,31 @@ def _raise_on_poison(queue: ShardQueue) -> None:
         )
 
 
+def _release_dead_fleet(supervisor: Supervisor, policy: RetryPolicy) -> None:
+    """Requeue every leased shard now, as if its lease had expired.
+
+    Only for the leases of a local fleet whose every worker died: the
+    attempt counts, so a shard that keeps killing its worker is poisoned.
+    """
+    supervisor.tick(now=time.time() + policy.lease_seconds + 1)
+
+
+def _drain_inline(
+    worker: ShardWorker,
+    on_progress: Callable[[], None],
+    *,
+    parent: int | None = None,
+) -> None:
+    """Drain the queue in this process, reporting after every shard.
+
+    With *parent*, a fleet worker stops claiming once that process died.
+    """
+    while (parent is None or os.getppid() == parent) and worker.run(
+        max_shards=1
+    ):
+        on_progress()
+
+
 def _drain_with_local_fleet(
     queue: ShardQueue,
     context: ExhaustiveContext | SampledContext,
@@ -142,14 +178,23 @@ def _drain_with_local_fleet(
     policy: RetryPolicy,
     telemetry: Telemetry | None,
     rebalancer: Rebalancer | None = None,
+    on_progress: Callable[[], None] | None = None,
 ) -> None:
     """Fork *workers* local processes and drain the queue to completion.
 
+    The caller owns the queue while this runs, so the leases a killed
+    earlier run left behind are reclaimed at entry (the resume neither
+    waits for them to expire nor counts them as failed attempts).
+
     Falls back to draining inline when fork is unavailable or a single
     worker was requested.  The parent acts as supervisor while children
-    work; if every child dies with work still pending (all claimed
-    shards eventually expire back to pending), the parent drains the
-    remainder inline rather than deadlocking.
+    work; if every child dies with work still pending, the parent
+    releases their leases and drains the remainder inline rather than
+    deadlocking.  If the parent itself is interrupted it terminates its
+    children and reclaims their shards, and a child whose parent died
+    stops before claiming another shard, so a killed run leaves no fleet
+    behind.  *on_progress* is called in this process as shards complete
+    (the parent's ``progress`` events).
     """
 
     def make_worker(worker_id: str) -> ShardWorker:
@@ -161,9 +206,16 @@ def _drain_with_local_fleet(
             max_attempts=policy.max_attempts,
             backoff_base=policy.backoff_base,
             backoff_cap=policy.backoff_cap,
+            poll_seconds=FLEET_IDLE_POLL_SECONDS,
             telemetry=telemetry,
         )
 
+    supervisor = Supervisor(
+        queue, policy=policy, telemetry=telemetry, rebalancer=rebalancer
+    )
+    queue.reclaim()
+    progress = on_progress or (lambda: None)
+    parent = os.getpid()
     workers = max(1, int(workers))
     ctx = None
     if workers > 1:
@@ -172,25 +224,25 @@ def _drain_with_local_fleet(
         except ValueError:
             ctx = None  # platform without fork: drain inline
     if ctx is None:
-        make_worker(f"local:{os.getpid()}").run()
+        _drain_inline(make_worker(f"local:{parent}"), progress)
         return
 
     procs = [
         ctx.Process(
-            target=lambda wid: make_worker(wid).run(),
-            args=(f"local:{os.getpid()}:w{i}",),
+            target=lambda wid: _drain_inline(
+                make_worker(wid), lambda: None, parent=parent
+            ),
+            args=(f"local:{parent}:w{i}",),
             daemon=True,
         )
         for i in range(workers)
     ]
     for proc in procs:
         proc.start()
-    supervisor = Supervisor(
-        queue, policy=policy, telemetry=telemetry, rebalancer=rebalancer
-    )
     try:
         while True:
             supervisor.tick()
+            progress()
             if queue.is_complete():
                 break
             status = queue.status()
@@ -199,16 +251,65 @@ def _drain_with_local_fleet(
             if not any(proc.is_alive() for proc in procs):
                 # The whole fleet died (kill -9, OOM, ...): release
                 # whatever they still lease and finish the job here.
-                supervisor.tick(now=time.time() + policy.lease_seconds + 1)
-                make_worker(f"local:{os.getpid()}:fallback").run()
+                _release_dead_fleet(supervisor, policy)
+                _drain_inline(make_worker(f"local:{parent}:fallback"), progress)
                 break
-            time.sleep(0.05)
+            # Sleep until a worker exits (they do once the queue drains)
+            # or the next supervision tick is due.
+            wait(
+                [proc.sentinel for proc in procs if proc.is_alive()],
+                timeout=FLEET_POLL_SECONDS,
+            )
+    except BaseException:
+        for proc in procs:
+            proc.terminate()
+        for proc in procs:
+            proc.join(timeout=10)
+        queue.reclaim()
+        raise
     finally:
         for proc in procs:
             proc.join(timeout=10)
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=5)
+
+
+class _ShardProgress:
+    """``progress`` events of a sharded exhaustive campaign.
+
+    Counted from the ``done/`` results by the supervising process alone,
+    so the sequence is monotonic whichever worker completes a shard.
+    """
+
+    def __init__(
+        self,
+        queue: ShardQueue,
+        space: FaultSpace,
+        specs: list[ShardSpec],
+        telemetry: Telemetry,
+    ) -> None:
+        per_cell = len(space.fault_models)
+        self.queue = queue
+        self.telemetry = telemetry
+        self.total = space.total_population
+        self.faults = {
+            spec.shard_id: sum(
+                space.layers[int(unit[0])].size * per_cell
+                for unit in spec.units
+            )
+            for spec in specs
+        }
+        self.reported = 0
+
+    def done(self) -> int:
+        return sum(self.faults.get(sid, 0) for sid in self.queue.done_ids())
+
+    def __call__(self, done: int | None = None) -> None:
+        done = self.done() if done is None else done
+        if done > self.reported:
+            self.reported = done
+            self.telemetry.emit("progress", done=done, total=self.total)
 
 
 def run_sharded_exhaustive(
@@ -227,9 +328,15 @@ def run_sharded_exhaustive(
 
     The merged table is bit-identical to a serial
     :meth:`OutcomeTable.from_exhaustive` run.  *root* is the queue
-    directory; resubmitting into an existing root with the same
-    configuration resumes it (done shards are kept), so a killed
-    campaign picks up where it stopped.
+    directory, owned by this call while it runs; resubmitting into an
+    existing root with the same configuration resumes it (done shards
+    are kept, leases a killed earlier run left are released at once),
+    so a killed campaign picks up where it stopped.
+
+    With *telemetry* the journal gets ``campaign_start``/``_end``, the
+    workers' per-cell events, ``progress`` events from this process as
+    shards complete, and ``checkpoint_resume`` when done shards were
+    reused.
     """
     policy = policy or RetryPolicy()
     workers = resolve_workers(workers)
@@ -241,7 +348,14 @@ def run_sharded_exhaustive(
         extras.update(runtime)
     queue.submit(specs, config=config, runtime=extras)
     tele = resolve_telemetry(telemetry)
+    cells_total = len(space.layers) * space.bits
+    done_before = queue.done_ids()
+    cells_resumed = sum(
+        len(spec.units) for spec in specs if spec.shard_id in done_before
+    )
+    progress: _ShardProgress | None = None
     if tele.enabled:
+        progress = _ShardProgress(queue, space, specs, tele)
         tele.emit(
             "campaign_start",
             kind="exhaustive",
@@ -249,9 +363,20 @@ def run_sharded_exhaustive(
             shards=len(specs),
             workers=workers,
             total=space.total_population,
-            cells_total=len(space.layers) * space.bits,
+            cells_total=cells_total,
             fmt=space.fmt.name,
+            eval_images=int(len(engine.images)),
+            policy=engine.policy,
+            engine=getattr(engine, "kind", "module"),
+            batch_size=int(getattr(engine, "batch_size", 1)),
         )
+        if cells_resumed:
+            tele.emit(
+                "checkpoint_resume",
+                cells_resumed=cells_resumed,
+                cells_total=cells_total,
+                faults_resumed=progress.done(),
+            )
     start = time.monotonic()
     _drain_with_local_fleet(
         queue,
@@ -260,16 +385,27 @@ def run_sharded_exhaustive(
         policy=policy,
         telemetry=telemetry,
         rebalancer=rebalancer,
+        on_progress=progress,
     )
     _raise_on_poison(queue)
     table = merge_exhaustive(queue, telemetry=telemetry)
-    if tele.enabled:
+    elapsed = time.monotonic() - start
+    table.metadata["elapsed_seconds"] = elapsed
+    if progress is not None:
+        progress(progress.total)
         tele.emit(
             "campaign_end",
-            elapsed_seconds=time.monotonic() - start,
+            elapsed_seconds=elapsed,
             faults=space.total_population,
             shards=len(specs),
+            cells_resumed=cells_resumed,
         )
+        # The workers' registries die with them; the parent's snapshot
+        # keeps the campaign totals.
+        tele.counter("campaign.cells_resumed").add(cells_resumed)
+        tele.counter("campaign.cells_computed").add(cells_total - cells_resumed)
+        tele.gauge("campaign.workers").set(workers)
+        tele.gauge("campaign.elapsed_seconds").set(elapsed)
     return table
 
 

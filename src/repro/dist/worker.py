@@ -233,7 +233,8 @@ class ShardWorker:
         Shard lifecycle and per-cell events land here; ``worker_heartbeat``
         events renew the active lease via :class:`LeaseKeeper`.
     on_unit:
-        Test hook called after every completed unit (cell or stratum).
+        Test hook called with the shard's spec after every completed
+        unit (cell or stratum).
     """
 
     def __init__(
@@ -249,7 +250,7 @@ class ShardWorker:
         poll_seconds: float = 0.05,
         heartbeat_interval: float | None = None,
         telemetry: Telemetry | None = None,
-        on_unit: Callable[[], None] | None = None,
+        on_unit: Callable[[ShardSpec], None] | None = None,
     ) -> None:
         self.queue = queue
         self.context = context

@@ -141,9 +141,8 @@ class FaultInjectionEngine:
         that decides an outcome given them: the float format, the
         classification policy and threshold, and the engine kind.  Two
         engines sharing a fingerprint classify every fault identically;
-        checkpoints and distributed shards compare it so progress
-        recorded under different weights or policies is never resumed
-        or merged.
+        distributed shards compare it so progress recorded under
+        different weights or policies is never resumed or merged.
         """
         digest = hashlib.sha256()
         header = json.dumps(
@@ -152,8 +151,8 @@ class FaultInjectionEngine:
                 "policy": self.policy,
                 "threshold": self.threshold,
                 "engine": self.kind,
-                # Constant: keeps checkpoints, queues and shard stamps
-                # written while fusion still existed valid.
+                # Constant: keeps queues and shard stamps written while
+                # fusion still existed valid.
                 "fusions": [],
             },
             sort_keys=True,

@@ -15,7 +15,6 @@ An :class:`OutcomeTable` holds the outcome of *every* fault in a
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import time
 
@@ -28,7 +27,7 @@ from repro.faults.engine import (
 )
 from repro.faults.model import Fault
 from repro.faults.space import FaultSpace
-from repro.store import CampaignCheckpoint, load_verified_npz, save_verified_npz
+from repro.store import load_verified_npz, save_verified_npz
 from repro.telemetry import Telemetry, resolve_telemetry
 
 
@@ -42,9 +41,9 @@ def _classify_cell(
     predictions_for_faults` in ``engine.batch_size`` chunks — the plan
     engine evaluates each chunk in one stacked tail pass, the module
     engine (batch size one) runs the classic one-inference-per-fault
-    loop.  Cells are the campaign's unit of parallelism and
-    checkpointing: independent, deterministic, and a few hundred per
-    model.
+    loop.  Cells are the campaign's unit of parallelism and resumption
+    (one :mod:`repro.dist` shard each): independent, deterministic, and
+    a few hundred per model.
     """
     layer = space.layers[layer_idx]
     fmt = space.fmt
@@ -90,7 +89,7 @@ def _classify_cell(
 
 
 def cell_key(layer_idx: int, bit: int) -> str:
-    """Stable name of one (layer, bit) cell (checkpoint and shard keys)."""
+    """Stable name of one (layer, bit) cell (shard result keys)."""
     return f"L{layer_idx:03d}_B{bit:02d}"
 
 
@@ -98,9 +97,9 @@ def campaign_config(engine: FaultInjectionEngine, space: FaultSpace) -> dict:
     """Identity of an exhaustive campaign.
 
     Includes the engine fingerprint (weights, eval images, policy, engine
-    kind) so a checkpoint taken against different weights (e.g. after
-    retraining) is never resumed — and, via :mod:`repro.dist`, so shards
-    computed under a mismatching configuration are never merged.  The
+    kind) so, via :mod:`repro.dist`, a queue submitted against different
+    weights (e.g. before retraining) is never resumed and shards computed
+    under a mismatching configuration are never merged.  The
     engine kind is carried explicitly too, for human-readable refusal
     messages and ``repro-stats`` display.
     """
@@ -112,22 +111,11 @@ def campaign_config(engine: FaultInjectionEngine, space: FaultSpace) -> dict:
         "eval_images": int(len(engine.images)),
         "layer_sizes": [layer.size for layer in space.layers],
         "engine": getattr(engine, "kind", "module"),
-        # Constant: keeps checkpoints, queues and shard stamps written
-        # while fusion still existed valid.
+        # Constant: keeps queues and shard stamps written while fusion
+        # still existed valid.
         "fusions": [],
         "golden_sha256": engine.fingerprint(),
     }
-
-
-# Fork-inherited state for pool workers: (engine, space, telemetry).  The
-# golden weights and eval set are shared copy-on-write with the parent;
-# workers only mutate their private injector scratch space.  The telemetry
-# journal is append-only and fork-safe, so workers write cell events and
-# heartbeats to the same file as the parent.
-_POOL_STATE: tuple[FaultInjectionEngine, FaultSpace, Telemetry] | None = None
-
-# Per-process tally of cells classified, reported in worker heartbeats.
-_WORKER_CELLS = 0
 
 
 def timed_classify_cell(
@@ -175,24 +163,8 @@ def timed_classify_cell(
     return cell, seconds, inferences
 
 
-def _pool_classify(
-    args: tuple[int, int]
-) -> tuple[int, int, np.ndarray, float, int]:
-    global _WORKER_CELLS
-    layer_idx, bit = args
-    assert _POOL_STATE is not None, "worker used outside a campaign pool"
-    engine, space, telemetry = _POOL_STATE
-    cell, seconds, inferences = timed_classify_cell(
-        engine, space, layer_idx, bit, telemetry
-    )
-    _WORKER_CELLS += 1
-    if telemetry.enabled:
-        telemetry.emit("worker_heartbeat", cells_done=_WORKER_CELLS)
-    return layer_idx, bit, cell, seconds, inferences
-
-
 def resolve_workers(workers: int | None = None) -> int:
-    """Normalise a worker-count request to an achievable pool size.
+    """Normalise a worker-count request to an achievable fleet size.
 
     ``None`` (the caller expressed no preference) resolves to the
     ``REPRO_WORKERS`` environment variable when set — the operator's
@@ -240,138 +212,63 @@ class OutcomeTable:
         engine: FaultInjectionEngine,
         space: FaultSpace,
         *,
-        workers: int | None = 1,
-        checkpoint: str | os.PathLike | None = None,
         telemetry: Telemetry | None = None,
         progress_every: int = 20_000,
     ) -> "OutcomeTable":
-        """Classify every fault in *space* using *engine*.
+        """Classify every fault in *space* using *engine*, serially.
 
         The campaign runs one (layer, bit) cell at a time (see
-        :func:`_classify_cell`); cells are independent, so with
-        ``workers > 1`` they fan out over a fork-based process pool whose
-        children share the golden weights and eval set copy-on-write.
-        With *checkpoint* set, every finished cell is persisted atomically
-        to that directory and a killed campaign resumes from its last
-        persisted cell — outcomes are deterministic, so the resumed table
-        is bit-identical to an uninterrupted run.
+        :func:`_classify_cell`).  This is the serial reference: parallel
+        and resumable campaigns run the same cells as one shard each
+        through :func:`repro.dist.run_sharded_exhaustive`, whose merged
+        table is bit-identical to this one.
 
         *telemetry* records the campaign: ``campaign_start``/``_end``,
         per-cell ``cell_start``/``cell_done`` (wall time, inference
-        count — emitted by the worker that ran the cell), checkpoint
-        writes and resume hits, worker heartbeats, and ``progress``
-        events roughly every *progress_every* faults.  The default
-        :class:`~repro.telemetry.NullTelemetry` adds no measurable cost.
+        count) and ``progress`` events roughly every *progress_every*
+        faults.  The default :class:`~repro.telemetry.NullTelemetry`
+        adds no measurable cost.
         """
         tele = resolve_telemetry(telemetry)
         start = time.time()
         total = space.total_population
         bits = space.bits
         n_models = len(space.fault_models)
-        workers = resolve_workers(workers)
         cells_total = len(space.layers) * bits
-
-        store = None
-        if checkpoint is not None:
-            store = CampaignCheckpoint(
-                checkpoint,
-                config=campaign_config(engine, space),
-                telemetry=tele,
-            )
-
-        cells: dict[tuple[int, int], np.ndarray] = {}
-        pending: list[tuple[int, int]] = []
-        done = 0
-        reported = 0
-        for layer_idx in range(len(space.layers)):
-            for bit in range(bits):
-                saved = (
-                    store.load(cell_key(layer_idx, bit))
-                    if store is not None
-                    else None
-                )
-                expected = (space.layers[layer_idx].size, n_models)
-                if saved is not None and saved.shape == expected:
-                    cells[(layer_idx, bit)] = saved
-                    done += saved.size
-                else:
-                    pending.append((layer_idx, bit))
-
-        resumed_cells = len(cells)
         if tele.enabled:
             tele.emit(
                 "campaign_start",
                 kind="exhaustive",
                 total=total,
                 cells_total=cells_total,
-                workers=workers,
+                workers=1,
                 fmt=space.fmt.name,
                 eval_images=int(len(engine.images)),
                 policy=engine.policy,
                 engine=getattr(engine, "kind", "module"),
                 batch_size=int(getattr(engine, "batch_size", 1)),
-                checkpointed=store is not None,
             )
-            if resumed_cells:
-                tele.emit(
-                    "checkpoint_resume",
-                    cells_resumed=resumed_cells,
-                    cells_total=cells_total,
-                    faults_resumed=done,
-                )
-            tele.counter("campaign.cells_resumed").add(resumed_cells)
-            tele.gauge("campaign.workers").set(workers)
 
-        def finish(
-            layer_idx: int,
-            bit: int,
-            cell: np.ndarray,
-            seconds: float,
-            inferences: int,
-        ) -> None:
-            nonlocal done, reported
-            cells[(layer_idx, bit)] = cell
-            if store is not None:
-                store.store(cell_key(layer_idx, bit), cell)
-            done += cell.size
-            if tele.enabled:
+        outcomes: list[np.ndarray] = []
+        done = 0
+        reported = 0
+        for layer_idx, layer in enumerate(space.layers):
+            table = np.empty((layer.size, bits, n_models), dtype=np.uint8)
+            for bit in range(bits):
+                cell, seconds, inferences = timed_classify_cell(
+                    engine, space, layer_idx, bit, tele
+                )
+                table[:, bit, :] = cell
+                done += cell.size
+                if not tele.enabled:
+                    continue
                 tele.timer("campaign.cell_seconds").observe(seconds)
                 tele.counter("campaign.cells_computed").add(1)
                 tele.counter("campaign.faults_classified").add(int(cell.size))
                 tele.counter("campaign.inferences").add(inferences)
-            if done - reported >= progress_every or done == total:
-                if tele.enabled:
+                if done - reported >= progress_every or done == total:
                     tele.emit("progress", done=done, total=total)
-                reported = done
-
-        if workers > 1 and len(pending) > 1:
-            global _POOL_STATE
-            _POOL_STATE = (engine, space, tele)
-            try:
-                ctx = multiprocessing.get_context("fork")
-            except ValueError:  # platform without fork: run serially
-                _POOL_STATE = None
-            else:
-                try:
-                    with ctx.Pool(processes=workers) as pool:
-                        for result in pool.imap_unordered(
-                            _pool_classify, pending, chunksize=1
-                        ):
-                            finish(*result)
-                finally:
-                    _POOL_STATE = None
-                pending = []
-        for layer_idx, bit in pending:
-            cell, seconds, inferences = timed_classify_cell(
-                engine, space, layer_idx, bit, tele
-            )
-            finish(layer_idx, bit, cell, seconds, inferences)
-
-        outcomes: list[np.ndarray] = []
-        for layer_idx, layer in enumerate(space.layers):
-            table = np.empty((layer.size, bits, n_models), dtype=np.uint8)
-            for bit in range(bits):
-                table[:, bit, :] = cells[(layer_idx, bit)]
+                    reported = done
             outcomes.append(table)
         masked = sum(
             int((arr == FaultOutcome.MASKED).sum()) for arr in outcomes
@@ -384,8 +281,7 @@ class OutcomeTable:
             "eval_images": int(len(engine.images)),
             "golden_accuracy": engine.golden_accuracy,
             # Inferences the campaign requires (deterministic: population
-            # minus masked), independent of how many were served from a
-            # checkpoint or by pool workers in this particular run.
+            # minus masked), independent of the engine's batching.
             "inference_count": total - masked,
             "elapsed_seconds": time.time() - start,
         }
@@ -395,8 +291,6 @@ class OutcomeTable:
                 elapsed_seconds=metadata["elapsed_seconds"],
                 faults=total,
                 masked=masked,
-                cells_resumed=resumed_cells,
-                cells_computed=cells_total - resumed_cells,
             )
             tele.gauge("campaign.elapsed_seconds").set(
                 metadata["elapsed_seconds"]

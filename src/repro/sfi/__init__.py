@@ -15,9 +15,8 @@ Four campaign planners, in the order the paper evaluates them:
 
 Supporting machinery: subpopulation partitioning (:mod:`granularity`),
 the data-aware p(i) pipeline (:mod:`dataaware`), seeded sampling
-(:mod:`sampler`), campaign execution (:class:`CampaignRunner`), exhaustive
-execution (:func:`run_exhaustive`) and validation against exhaustive ground
-truth (:mod:`validation`).
+(:mod:`sampler`), campaign execution (:class:`CampaignRunner`) and
+validation against exhaustive ground truth (:mod:`validation`).
 """
 
 from repro.sfi.granularity import (
@@ -43,7 +42,7 @@ from repro.sfi.planners import (
 )
 from repro.sfi.sampler import sample_subpopulation
 from repro.sfi.results import CampaignResult, Estimate
-from repro.sfi.runner import CampaignRunner, run_exhaustive
+from repro.sfi.runner import CampaignRunner
 from repro.sfi.twostage import TwoStageSFI, merge_results
 from repro.sfi.validation import MethodComparison, ValidationReport, validate_campaign
 
@@ -67,7 +66,6 @@ __all__ = [
     "CampaignResult",
     "Estimate",
     "CampaignRunner",
-    "run_exhaustive",
     "TwoStageSFI",
     "merge_results",
     "MethodComparison",

@@ -13,6 +13,14 @@ import shutil
 from pathlib import Path
 
 from repro.data import SynthCIFAR
+from repro.dist import (
+    DistError,
+    ShardQueue,
+    ShardSpec,
+    config_hash,
+    make_exhaustive_shards,
+    run_sharded_exhaustive,
+)
 from repro.faults import FaultInjectionEngine, FaultSpace, OutcomeTable
 from repro.models import create_model
 from repro.telemetry import Telemetry, resolve_telemetry
@@ -32,14 +40,6 @@ def exhaustive_table_path(
     )
 
 
-def exhaustive_checkpoint_path(
-    model_name: str, *, eval_size: int = 64, policy: str = "accuracy_drop"
-) -> Path:
-    """Checkpoint directory for one exhaustive configuration."""
-    path = exhaustive_table_path(model_name, eval_size=eval_size, policy=policy)
-    return path.with_suffix(".ckpt")
-
-
 def regenerate_command(
     model_name: str, *, eval_size: int = 64, policy: str = "accuracy_drop"
 ) -> str:
@@ -50,6 +50,27 @@ def regenerate_command(
     return f"delete the file and run `{command}`"
 
 
+def _discard_stale_queue(
+    queue: ShardQueue, config: dict, specs: list[ShardSpec]
+) -> None:
+    """Delete a leftover queue another configuration left at *queue*.
+
+    Only a queue submitted for the same campaign and the same shards is
+    resumed; anything else (other weights or eval set, another shard
+    layout, an unreadable record) must never leak into this table.
+    """
+    if not queue.root.exists():
+        return
+    try:
+        campaign = queue.campaign()
+    except DistError:
+        campaign = {}
+    if campaign.get("config_hash") != config_hash(config) or campaign.get(
+        "shards"
+    ) != [spec.shard_id for spec in specs]:
+        shutil.rmtree(queue.root)
+
+
 def load_or_run_exhaustive(
     model_name: str,
     *,
@@ -58,30 +79,28 @@ def load_or_run_exhaustive(
     engine_kind: str = "plan",
     batch_size: int | None = None,
     workers: int | None = 1,
-    shards: int | None = None,
-    resume: bool = True,
     telemetry: Telemetry | None = None,
 ) -> tuple[OutcomeTable, FaultSpace, FaultInjectionEngine]:
     """Return the exhaustive table for a pretrained mini model.
 
     Loads from the artifact cache when present; otherwise runs the full
-    exhaustive campaign (minutes for the mini models) and caches it,
-    fanning out over *workers* processes and — with *resume* (default) —
-    checkpointing finished cells so a killed campaign picks up where it
-    stopped.  Always returns a live ``(table, space, engine)`` triple for
-    the same model/eval configuration, so sampled campaigns can either
-    replay from the table or re-inject through the engine.
+    exhaustive campaign (minutes for the mini models) and caches it.
+    Always returns a live ``(table, space, engine)`` triple for the same
+    model/eval configuration, so sampled campaigns can either replay
+    from the table or re-inject through the engine.
+
+    A cold campaign runs through :func:`repro.dist.run_sharded_exhaustive`
+    with one shard per (layer, bit) cell, drained by *workers* local
+    processes (see :func:`~repro.faults.table.resolve_workers`) through
+    a private ``<table>.queue`` directory next to the cache file.  A
+    killed campaign resumes from the shards it finished; a leftover
+    queue of another configuration is discarded.  The merged table is
+    bit-identical to a serial :meth:`OutcomeTable.from_exhaustive` run.
 
     *engine_kind* selects the engine (see
     :func:`repro.runtime.create_engine`); outcomes are bit-identical
     across kinds, so both share the cache.  *batch_size* tunes how many
     same-layer faults the plan engine evaluates per batch.
-
-    With *shards* set the cold-cache campaign instead goes through
-    :func:`repro.dist.run_sharded_exhaustive`: the work is split into
-    that many shards, drained by a local worker fleet through a queue
-    directory next to the cache file, and merged — bit-identical to the
-    serial run, and resumable across kills (done shards are kept).
 
     *telemetry* journals the campaign (or an ``artifact_cache_hit``
     event when the table is served from the cache).
@@ -121,45 +140,28 @@ def load_or_run_exhaustive(
             )
             tele.counter("artifacts.cache_hits").add(1)
         return table, space, engine
-    if shards is not None:
-        # Late import: repro.dist pulls in the queue/merge machinery,
-        # which most artifact consumers never need.
-        from repro.dist import run_sharded_exhaustive
-
-        table = run_sharded_exhaustive(
-            engine,
-            space,
-            path.with_suffix(".queue"),
-            shards=shards,
-            workers=workers,
-            telemetry=telemetry,
-            runtime={
-                "model": model_name,
-                "eval_size": eval_size,
-                "policy": policy,
-                "engine": engine.kind,
-            },
-        )
-        table.metadata["model"] = model_name
-        table.save(path)
-        shutil.rmtree(path.with_suffix(".queue"), ignore_errors=True)
-        return table, space, engine
-    checkpoint = (
-        exhaustive_checkpoint_path(model_name, eval_size=eval_size, policy=policy)
-        if resume
-        else None
+    queue = ShardQueue(path.with_suffix(".queue"))
+    cells = len(space.layers) * space.bits
+    _discard_stale_queue(
+        queue, *make_exhaustive_shards(engine, space, shards=cells)
     )
-    table = OutcomeTable.from_exhaustive(
+    table = run_sharded_exhaustive(
         engine,
         space,
+        queue.root,
+        shards=cells,
         workers=workers,
-        checkpoint=checkpoint,
         telemetry=telemetry,
+        runtime={
+            "model": model_name,
+            "eval_size": eval_size,
+            "policy": policy,
+            "engine": engine.kind,
+        },
     )
     table.metadata["model"] = model_name
     table.save(path)
-    if checkpoint is not None and checkpoint.exists():
-        # The finished table is persisted and verified; the checkpoint has
-        # served its purpose.
-        shutil.rmtree(checkpoint, ignore_errors=True)
+    # The finished table is persisted and verified; the queue has served
+    # its purpose.
+    shutil.rmtree(queue.root, ignore_errors=True)
     return table, space, engine

@@ -1,21 +1,15 @@
-"""Campaign execution: sampled campaigns and the exhaustive baseline."""
+"""Campaign execution: the serial sampled-campaign runner."""
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import time
 from collections.abc import Callable, Iterable
 
 import numpy as np
 
-from repro.faults.engine import FaultInjectionEngine, FaultOutcome
-from repro.faults.model import STUCK_AT_MODELS, FaultModel
+from repro.faults.engine import FaultOutcome
 from repro.faults.oracle import Oracle
 from repro.faults.space import FaultSpace
-from repro.faults.table import OutcomeTable, resolve_workers
-from repro.ieee754 import FLOAT32, FloatFormat
-from repro.nn import Module
 from repro.sfi.granularity import Granularity
 from repro.sfi.planners import CampaignPlan
 from repro.sfi.results import CampaignResult
@@ -51,8 +45,8 @@ def execute_plan_items(
     Returns ``(cell_tallies, assumed_p)`` in the
     :class:`~repro.sfi.results.CampaignResult` layout.  Each item draws
     from its own :func:`stratum_rng` substream, so any partition of the
-    item indices — across loop iterations, pool workers or distributed
-    shards — produces the same observations as a serial pass.
+    item indices — across loop iterations or distributed shards —
+    produces the same observations as a serial pass.
     *on_item* fires after each processed item (progress/heartbeats).
     """
     tallies: dict[tuple[int, int], list[int]] = {}
@@ -90,18 +84,6 @@ def execute_plan_items(
     return tallies, assumed
 
 
-# Fork-inherited state for sampled-campaign pool workers: (plan, oracle,
-# seed).  Like the exhaustive pool, children share the oracle (table or
-# engine) copy-on-write and return plain tallies.
-_RUN_POOL_STATE: tuple[CampaignPlan, Oracle, int] | None = None
-
-
-def _pool_run_item(index: int):
-    assert _RUN_POOL_STATE is not None, "worker used outside a campaign pool"
-    plan, oracle, seed = _RUN_POOL_STATE
-    return execute_plan_items(plan, oracle, [index], seed=seed)
-
-
 class CampaignRunner:
     """Executes a :class:`CampaignPlan` against a fault oracle.
 
@@ -112,6 +94,10 @@ class CampaignRunner:
     With *telemetry*, every :meth:`run` is journaled as a sampled
     campaign (``campaign_start``/``campaign_end`` plus a
     ``sfi.run`` span) and its injections counted.
+
+    This is the serial reference; :func:`repro.dist.run_sharded_campaign`
+    runs the same plan over a local worker fleet and merges to an
+    identical result.
     """
 
     def __init__(
@@ -125,25 +111,16 @@ class CampaignRunner:
         self.space = space
         self.telemetry = resolve_telemetry(telemetry)
 
-    def run(
-        self,
-        plan: CampaignPlan,
-        *,
-        seed: int = 0,
-        workers: int | None = 1,
-    ) -> CampaignResult:
+    def run(self, plan: CampaignPlan, *, seed: int = 0) -> CampaignResult:
         """Sample and classify every planned stratum; returns the result.
 
         Strata are independent (each draws from its own
-        :func:`stratum_rng` substream), so with ``workers > 1`` they fan
-        out over a fork-based process pool — same
-        :func:`~repro.faults.table.resolve_workers` semantics as the
-        exhaustive campaign (``None`` honours ``REPRO_WORKERS``, then
-        the CPU count) — and the result is identical to a serial run.
+        :func:`stratum_rng` substream), so any partition of them — the
+        shards of a sharded campaign — reproduces this result exactly.
         """
         tele = self.telemetry
         if not tele.enabled:
-            return self._run(plan, seed, workers=workers)
+            return self._run(plan, seed)
         tele.emit(
             "campaign_start",
             kind="sampled",
@@ -153,7 +130,7 @@ class CampaignRunner:
         )
         start = time.monotonic()
         with tele.span("sfi.run", method=plan.method, seed=seed):
-            result = self._run(plan, seed, workers=workers)
+            result = self._run(plan, seed)
         tele.counter("sfi.injections").add(result.total_injections)
         tele.emit(
             "campaign_end",
@@ -164,9 +141,7 @@ class CampaignRunner:
         )
         return result
 
-    def _run(
-        self, plan: CampaignPlan, seed: int, *, workers: int | None = 1
-    ) -> CampaignResult:
+    def _run(self, plan: CampaignPlan, seed: int) -> CampaignResult:
         result = CampaignResult(
             method=plan.method,
             granularity=plan.granularity,
@@ -174,53 +149,11 @@ class CampaignRunner:
             space=self.space,
             seed=seed,
         )
-        workers = resolve_workers(workers)
-        sampled = [
-            idx for idx, item in enumerate(plan.items) if item.sample_size > 0
-        ]
-        parts: list[tuple[dict, dict]] = []
-        if workers > 1 and len(sampled) > 1:
-            # Zero-sample strata are pure bookkeeping; keep them out of
-            # the pool and fold them in the parent.
-            sampled_set = set(sampled)
-            unsampled = [
-                i for i in range(len(plan.items)) if i not in sampled_set
-            ]
-            parts.append(
-                execute_plan_items(plan, self.oracle, unsampled, seed=seed)
-            )
-            global _RUN_POOL_STATE
-            _RUN_POOL_STATE = (plan, self.oracle, seed)
-            try:
-                ctx = multiprocessing.get_context("fork")
-            except ValueError:  # platform without fork: run serially
-                _RUN_POOL_STATE = None
-                parts.append(
-                    execute_plan_items(plan, self.oracle, sampled, seed=seed)
-                )
-            else:
-                try:
-                    with ctx.Pool(processes=workers) as pool:
-                        parts.extend(
-                            pool.map(_pool_run_item, sampled, chunksize=1)
-                        )
-                finally:
-                    _RUN_POOL_STATE = None
-        else:
-            parts.append(
-                execute_plan_items(
-                    plan, self.oracle, range(len(plan.items)), seed=seed
-                )
-            )
-        for tallies, assumed in parts:
-            for (layer, bit), counts in tallies.items():
-                tally = result.cell_tallies.setdefault(
-                    (layer, bit), [0, 0, 0]
-                )
-                tally[0] += counts[0]
-                tally[1] += counts[1]
-                tally[2] += counts[2]
-            result.assumed_p.update(assumed)
+        tallies, assumed = execute_plan_items(
+            plan, self.oracle, range(len(plan.items)), seed=seed
+        )
+        result.cell_tallies.update(tallies)
+        result.assumed_p.update(assumed)
         return result
 
     def run_many(
@@ -237,50 +170,3 @@ class CampaignRunner:
         """
         return [self.run(plan, seed=seed) for seed in seeds]
 
-
-def run_exhaustive(
-    model: Module,
-    images: np.ndarray,
-    labels: np.ndarray,
-    *,
-    fmt: FloatFormat = FLOAT32,
-    fault_models: tuple[FaultModel, ...] = STUCK_AT_MODELS,
-    policy: str = "accuracy_drop",
-    threshold: float = 0.0,
-    engine_kind: str = "plan",
-    workers: int | None = 1,
-    checkpoint: str | os.PathLike | None = None,
-    telemetry: Telemetry | None = None,
-) -> tuple[OutcomeTable, FaultSpace, FaultInjectionEngine]:
-    """Run the full exhaustive campaign for *model* over the eval set.
-
-    Returns ``(table, space, engine)``; the table is the paper's exhaustive
-    ground truth (every possible fault classified).  *engine_kind* picks
-    the execution path: ``"plan"`` (default, op-granular caching and
-    batched fault evaluation — bit-identical outcomes) or ``"module"``
-    (the stage-granular reference engine).  ``workers > 1`` fans the campaign's (layer, bit) cells out over a
-    process pool; with *checkpoint* (a directory path) set, a killed
-    campaign resumes from its last persisted cell.  *telemetry* journals
-    the whole campaign (see :meth:`OutcomeTable.from_exhaustive`).
-    """
-    from repro.runtime import create_engine
-
-    engine = create_engine(
-        model,
-        images,
-        labels,
-        kind=engine_kind,
-        fmt=fmt,
-        policy=policy,
-        threshold=threshold,
-        telemetry=telemetry,
-    )
-    space = FaultSpace(engine.layers, fmt=fmt, fault_models=fault_models)
-    table = OutcomeTable.from_exhaustive(
-        engine,
-        space,
-        workers=workers,
-        checkpoint=checkpoint,
-        telemetry=telemetry,
-    )
-    return table, space, engine

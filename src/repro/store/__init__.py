@@ -1,12 +1,13 @@
 """Verified artifact store.
 
 Every artifact the reproduction depends on — trained weights, exhaustive
-outcome tables, campaign checkpoints — goes through this package:
+outcome tables, shard results — goes through this package:
 
 - :mod:`repro.store.atomic` writes files atomically (temp file + fsync +
   rename), so a killed process never leaves a half-written archive behind.
 - :mod:`repro.store.manifest` maintains a ``MANIFEST.json`` per artifact
-  directory with the SHA-256 of every artifact, and verifies it on load.
+  directory with the SHA-256 of every artifact (updates serialised by a
+  lock file, so concurrent writers lose no entry), and verifies it on load.
 - :mod:`repro.store.npz` is the verified ``.npz`` reader/writer: it
   validates the zip structure and the manifest checksum before handing
   arrays out, and raises :class:`~repro.store.errors.CorruptArtifactError`
@@ -14,8 +15,6 @@ outcome tables, campaign checkpoints — goes through this package:
 - :mod:`repro.store.salvage` recovers intact members from an ``.npz``
   whose zip central directory is damaged (the seed-corruption incident
   that motivated this package).
-- :mod:`repro.store.checkpoint` persists campaign progress chunk by
-  chunk, so a killed exhaustive run resumes where it stopped.
 """
 
 from repro.store.atomic import (
@@ -24,7 +23,6 @@ from repro.store.atomic import (
     atomic_write,
     atomic_write_bytes,
 )
-from repro.store.checkpoint import CampaignCheckpoint
 from repro.store.errors import ArtifactError, CorruptArtifactError
 from repro.store.manifest import (
     MANIFEST_NAME,
@@ -46,7 +44,6 @@ from repro.store.salvage import salvage_npz
 __all__ = [
     "ArtifactError",
     "CorruptArtifactError",
-    "CampaignCheckpoint",
     "MANIFEST_NAME",
     "atomic_append_line",
     "atomic_savez",

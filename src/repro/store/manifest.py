@@ -6,20 +6,33 @@ update the manifest atomically after every artifact write; readers verify
 the checksum before trusting an artifact, which catches both truncation
 and silent staleness (an artifact swapped without going through the
 store).
+
+Concurrent writers into one directory (a local fleet completing shards
+into ``done/``) serialise their manifest updates on an ``flock`` of a
+lock file next to the manifest, so no entry is lost to an interleaved
+read-modify-write.  A directory that receives many artifacts (a shard
+queue's ``done/``) appends each entry to ``MANIFEST.log`` instead, one
+JSON line per artifact applied over ``MANIFEST.json`` in order, so
+recording an artifact costs the same however many are already listed.
 """
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-from repro.store.atomic import atomic_write_bytes
+from repro.store.atomic import atomic_append_line, atomic_write_bytes
 
 MANIFEST_NAME = "MANIFEST.json"
+LOG_NAME = "MANIFEST.log"
+LOCK_NAME = ".MANIFEST.lock"
 _MANIFEST_VERSION = 1
 
 
@@ -37,18 +50,39 @@ def manifest_path(directory: str | os.PathLike) -> Path:
 
 
 def load_manifest(directory: str | os.PathLike) -> dict:
-    """Manifest entries for *directory* (``{}`` when absent or unreadable)."""
-    path = manifest_path(directory)
+    """Manifest entries for *directory* (``{}`` when absent or unreadable).
+
+    ``MANIFEST.log`` lines are applied over ``MANIFEST.json``, later
+    lines winning; a malformed line (the torn tail of a killed writer)
+    is skipped, which leaves its artifact unlisted.
+    """
     try:
-        with open(path, encoding="utf-8") as stream:
+        with open(manifest_path(directory), encoding="utf-8") as stream:
             data = json.load(stream)
     except (OSError, json.JSONDecodeError):
-        return {}
-    entries = data.get("artifacts")
-    return entries if isinstance(entries, dict) else {}
+        data = {}
+    entries = data.get("artifacts") if isinstance(data, dict) else None
+    entries = dict(entries) if isinstance(entries, dict) else {}
+    try:
+        with open(Path(directory) / LOG_NAME, encoding="utf-8") as stream:
+            lines = stream.readlines()
+    except OSError:
+        lines = []
+    for line in lines:
+        try:
+            record = json.loads(line)
+            entries[record.pop("name")] = record
+        except (json.JSONDecodeError, AttributeError, KeyError, TypeError):
+            continue
+    return entries
 
 
 def _save_manifest(directory: Path, entries: dict) -> None:
+    """Rewrite ``MANIFEST.json`` with *entries* and drop the log.
+
+    The caller holds the manifest lock; *entries* supersede the log
+    (they include its entries unless the manifest is being rebuilt).
+    """
     payload = {
         "version": _MANIFEST_VERSION,
         "artifacts": {name: entries[name] for name in sorted(entries)},
@@ -57,13 +91,37 @@ def _save_manifest(directory: Path, entries: dict) -> None:
         manifest_path(directory),
         (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"),
     )
+    try:
+        os.unlink(directory / LOG_NAME)
+    except FileNotFoundError:
+        pass
 
 
-def record_artifact(path: str | os.PathLike) -> dict:
+def _append_entry(directory: Path, name: str, entry: dict) -> None:
+    """Append one entry to *directory*'s ``MANIFEST.log`` (one write)."""
+    atomic_append_line(
+        directory / LOG_NAME, json.dumps({"name": name, **entry}, sort_keys=True)
+    )
+
+
+@contextmanager
+def _manifest_lock(directory: Path) -> Iterator[None]:
+    """Hold an exclusive ``flock`` on *directory*'s manifest lock file."""
+    fd = os.open(directory / LOCK_NAME, os.O_RDWR | os.O_CREAT, 0o644)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        yield
+    finally:
+        os.close(fd)  # closing the descriptor drops the lock
+
+
+def record_artifact(path: str | os.PathLike, *, append: bool = False) -> dict:
     """Record (or refresh) *path* in its directory's manifest.
 
-    Returns the manifest entry written.  Must be called after the artifact
-    itself has been renamed into place.
+    With *append* the entry is appended to ``MANIFEST.log`` (constant
+    cost, for directories that receive many artifacts); otherwise
+    ``MANIFEST.json`` is rewritten.  Returns the manifest entry written.
+    Must be called after the artifact itself has been renamed into place.
     """
     path = Path(path)
     entry = {
@@ -71,19 +129,14 @@ def record_artifact(path: str | os.PathLike) -> dict:
         "size": path.stat().st_size,
         "updated": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
-    entries = load_manifest(path.parent)
-    entries[path.name] = entry
-    _save_manifest(path.parent, entries)
+    with _manifest_lock(path.parent):
+        if append:
+            _append_entry(path.parent, path.name, entry)
+        else:
+            entries = load_manifest(path.parent)
+            entries[path.name] = entry
+            _save_manifest(path.parent, entries)
     return entry
-
-
-def forget_artifact(path: str | os.PathLike) -> None:
-    """Drop *path* from its directory's manifest, if listed."""
-    path = Path(path)
-    entries = load_manifest(path.parent)
-    if path.name in entries:
-        del entries[path.name]
-        _save_manifest(path.parent, entries)
 
 
 def write_manifest(
@@ -110,21 +163,28 @@ def write_manifest(
             "size": path.stat().st_size,
             "updated": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         }
-    _save_manifest(directory, entries)
+    with _manifest_lock(directory):
+        _save_manifest(directory, entries)
     return entries
 
 
-def verify_artifact(path: str | os.PathLike) -> str | None:
+def verify_artifact(
+    path: str | os.PathLike, *, entries: dict | None = None
+) -> str | None:
     """Check *path* against its directory manifest.
 
     Returns ``None`` when the checksum matches or the file is simply not
     listed (no manifest yet — legal for hand-placed artifacts), otherwise
-    a human-readable description of the mismatch.
+    a human-readable description of the mismatch.  *entries* is the
+    directory's manifest when the caller already loaded it (verifying
+    many artifacts of one directory).
     """
     path = Path(path)
     if not path.is_file():
         return "file is missing"
-    entry = load_manifest(path.parent).get(path.name)
+    if entries is None:
+        entries = load_manifest(path.parent)
+    entry = entries.get(path.name)
     if entry is None:
         return None
     size = path.stat().st_size
@@ -176,7 +236,7 @@ def verify_directory(
         if name not in present:
             report.missing.append(name)
     for name in sorted(present):
-        problem = verify_artifact(directory / name)
+        problem = verify_artifact(directory / name, entries=entries)
         if problem is None and name not in entries:
             report.unlisted.append(name)
         elif problem is None:

@@ -1,7 +1,7 @@
 """Verified ``.npz`` reader/writer built on the atomic store.
 
 ``save_verified_npz`` writes atomically and records the artifact in its
-directory's ``MANIFEST.json``.  ``load_verified_npz`` validates the zip
+directory's manifest.  ``load_verified_npz`` validates the zip
 structure and the manifest checksum *before* handing arrays out; every
 failure mode surfaces as a :class:`~repro.store.errors.CorruptArtifactError`
 naming the file and the regeneration command.
@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.store.atomic import atomic_savez
 from repro.store.errors import CorruptArtifactError
-from repro.store.manifest import record_artifact, verify_artifact
+from repro.store.manifest import load_manifest, record_artifact, verify_artifact
 
 
 def save_verified_npz(
@@ -26,11 +26,16 @@ def save_verified_npz(
     arrays: dict[str, np.ndarray],
     *,
     manifest: bool = True,
+    append: bool = False,
 ) -> None:
-    """Atomically write *arrays* to *path* and update the manifest."""
+    """Atomically write *arrays* to *path* and update the manifest.
+
+    *append* records the checksum in the directory's ``MANIFEST.log``
+    (see :func:`~repro.store.manifest.record_artifact`).
+    """
     atomic_savez(path, **arrays)
     if manifest:
-        record_artifact(path)
+        record_artifact(path, append=append)
 
 
 def validate_npz(path: str | os.PathLike) -> str | None:
@@ -57,23 +62,37 @@ def validate_npz(path: str | os.PathLike) -> str | None:
     return None
 
 
-def validate_artifact(path: str | os.PathLike) -> str | None:
-    """Full integrity check: manifest checksum, then zip structure."""
-    return verify_artifact(path) or validate_npz(path)
+def validate_artifact(
+    path: str | os.PathLike, *, entries: dict | None = None
+) -> str | None:
+    """Manifest checksum, else (unlisted artifacts only) zip structure.
+
+    *entries* is the directory's already-loaded manifest, if any.
+    """
+    path = Path(path)
+    if entries is None:
+        entries = load_manifest(path.parent)
+    problem = verify_artifact(path, entries=entries)
+    if problem is not None or path.name in entries:
+        return problem
+    return validate_npz(path)
 
 
 def load_verified_npz(
     path: str | os.PathLike,
     *,
     regenerate: str | None = None,
+    entries: dict | None = None,
 ) -> dict[str, np.ndarray]:
     """Load an ``.npz`` after validating manifest checksum and structure.
 
     *regenerate* is the command to include in the error when validation
     fails (e.g. ``python examples/train_models.py --model resnet8_mini``).
+    *entries* is the directory's manifest when the caller loads many
+    artifacts of one directory and read it once.
     """
     path = Path(path)
-    problem = validate_artifact(path)
+    problem = validate_artifact(path, entries=entries)
     if problem is not None:
         raise CorruptArtifactError(path, reason=problem, regenerate=regenerate)
     try:

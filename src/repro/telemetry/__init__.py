@@ -8,7 +8,7 @@ The fault-injection stack is instrumented end to end, off by default:
 - :mod:`repro.telemetry.journal` — the durable record: an append-only
   JSONL file whose appends are single ``O_APPEND`` writes
   (:func:`repro.store.atomic_append_line`), safe to share between the
-  campaign parent and its fork-pool workers.
+  campaign parent and its forked fleet workers.
 - :mod:`repro.telemetry.metrics` — in-process counters, gauges and
   histogram timers, snapshot to JSON.
 - :mod:`repro.telemetry.spans` — context-manager profiling spans around

@@ -8,7 +8,7 @@ Two timestamps because they answer different questions:
 
 - ``t`` is ``time.monotonic()`` — durations and ordering.  On Linux this
   is ``CLOCK_MONOTONIC``, which is system-wide, so spans measured in
-  fork-pool workers are comparable with the parent's.
+  forked fleet workers are comparable with the parent's.
 - ``wall`` is ``time.time()`` — "when did this happen" for humans
   correlating a journal with logs from other systems.
 """
@@ -29,9 +29,11 @@ EVENT_TYPES = frozenset(
         "campaign_end",  # ... and finishes (elapsed, totals)
         "cell_start",  # one (layer, bit) cell begins classification
         "cell_done",  # ... and finishes (seconds, faults, inferences)
-        "checkpoint_write",  # one cell persisted to the checkpoint dir
-        "checkpoint_resume",  # a resumed campaign reused persisted cells
-        "worker_heartbeat",  # a pool worker is alive (pid, cells done)
+        # Written by releases that kept a per-cell checkpoint directory;
+        # still accepted so their journals read back.
+        "checkpoint_write",
+        "checkpoint_resume",  # a resumed campaign reused finished shards
+        "worker_heartbeat",  # a fleet worker finished a unit (renews lease)
         "progress",  # (done, total) faults classified so far
         "span",  # a profiled code section (name, seconds)
         "epoch_done",  # one training epoch finished

@@ -2,11 +2,10 @@
 
 One journal file records one or more campaigns.  Appends go through
 :func:`repro.store.atomic.atomic_append_line` — a single ``O_APPEND``
-write per event — so fork-pool workers and the parent process can share
-the same journal without interleaving records.  Readers tolerate a torn
-final line (a crash mid-append) the same way the checkpoint store
-tolerates a half-written chunk: the damaged record is dropped, never
-propagated.
+write per event — so forked fleet workers and the parent process can
+share the same journal without interleaving records.  Readers tolerate a
+torn final line (a crash mid-append): the damaged record is dropped,
+never propagated.
 """
 
 from __future__ import annotations

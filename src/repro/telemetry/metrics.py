@@ -6,10 +6,10 @@ histograms per profiled section, all snapshotted to JSON at the end of a
 run.  It is not a live monitoring system; the journal is the durable
 record, the registry is the cheap aggregate view.
 
-Fork caveat: pool workers get a copy-on-write *copy* of the registry, so
-worker-side increments never reach the parent.  Anything workers must
-report flows through the journal (events survive the process boundary);
-the parent aggregates worker events into its own registry.
+Fork caveat: forked fleet workers get a copy-on-write *copy* of the
+registry, so worker-side increments never reach the parent.  Anything
+workers must report flows through the journal (events survive the
+process boundary).
 """
 
 from __future__ import annotations

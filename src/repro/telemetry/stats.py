@@ -4,8 +4,7 @@ This is the read side of the telemetry subsystem (the ``repro-stats``
 CLI is a thin shell around it): group a journal's events by run id and
 reconstruct, per campaign, what the operator actually asks about —
 per-(layer, bit) cell wall times, overall faults/sec and inferences/sec,
-per-worker utilisation, checkpoint/resume behaviour, and per-phase span
-timings.
+per-worker utilisation, resume behaviour, and per-phase span timings.
 """
 
 from __future__ import annotations
@@ -68,10 +67,9 @@ class CampaignSummary:
     tail_passes: int = 0  # stacked tail passes (each covers >= 1 faults)
     ops_executed: int = 0  # plan ops recomputed across all tail passes
     ops_cached: int = 0  # plan ops served from the golden op cache
-    # Checkpointing.
+    # Resumption (cells served by shards a killed run finished).
     cells_resumed: int = 0
     cells_total: int | None = None
-    checkpoint_writes: int = 0
     resumed: bool = False
     # Concurrency.
     workers: list[WorkerStats] = field(default_factory=list)
@@ -128,7 +126,7 @@ class CampaignSummary:
 
     @property
     def resume_hit_rate(self) -> float:
-        """Fraction of the space's cells served from the checkpoint."""
+        """Fraction of the space's cells served by an earlier run."""
         if not self.cells_total:
             return 0.0
         return self.cells_resumed / self.cells_total
@@ -183,7 +181,6 @@ _WORK_EVENTS = frozenset(
     {
         "cell_start",
         "cell_done",
-        "checkpoint_write",
         "progress",
         "shard_claim",
         "shard_done",
@@ -245,8 +242,6 @@ def _summarize_run(run_id: str, events: list[Event]) -> CampaignSummary:
             summary.ops_executed += int(f.get("ops_executed", 0))
             summary.ops_cached += int(f.get("ops_cached", 0))
             worker_busy.setdefault(event.pid, []).append(timing.seconds)
-        elif event.type == "checkpoint_write":
-            summary.checkpoint_writes += 1
         elif event.type == "checkpoint_resume":
             summary.resumed = True
             summary.cells_resumed = int(f.get("cells_resumed", 0))
@@ -356,9 +351,8 @@ def format_summary(summary: CampaignSummary, *, top_cells: int = 10) -> str:
         )
     if summary.cells_total is not None:
         lines.append(
-            f"  checkpoint: {summary.cells_resumed}/{summary.cells_total} "
-            f"cells resumed (hit rate {summary.resume_hit_rate * 100:.0f}%), "
-            f"{summary.checkpoint_writes} cell writes"
+            f"  resume: {summary.cells_resumed}/{summary.cells_total} "
+            f"cells resumed (hit rate {summary.resume_hit_rate * 100:.0f}%)"
         )
     if summary.shards_done or summary.shards_requeued or summary.shards_poisoned:
         shard_line = (

@@ -240,6 +240,97 @@ class TestRequeueRace:
         assert requeued is not None and requeued.attempts == 1
 
 
+class TestReleaseCompletionWindow:
+    """The holder completes its shard while ``release_expired`` is
+    between reading the leased spec and requeueing it.  Requeueing then
+    would recreate the retired spec, redo the shard and count a failed
+    attempt (``dist.shards_retried`` on healthy runs)."""
+
+    def test_shard_completed_inside_the_window_is_not_requeued(
+        self, queue, monkeypatch
+    ):
+        spec, lease = queue.claim(worker="w0", lease_seconds=60.0)
+        read_spec = queue._read_spec
+
+        def read_then_complete(path):
+            read = read_spec(path)
+            if path.parent == queue.leased_dir:
+                # The holder finishes right after the releaser's read.
+                queue.complete(spec, {"tallies": np.ones(3)}, lease=lease)
+            return read
+
+        monkeypatch.setattr(queue, "_read_spec", read_then_complete)
+        released = queue.release_expired(lease_seconds=0.0, now=FUTURE)
+        monkeypatch.undo()
+        assert released == []
+        assert spec.shard_id in queue.done_ids()
+        assert not (queue.pending_dir / f"{spec.shard_id}.json").exists()
+        assert not (queue.leased_dir / f"{spec.shard_id}.json").exists()
+        assert queue.poisoned() == []
+
+    def test_completion_after_the_recheck_is_absorbed_by_claim(
+        self, queue, monkeypatch
+    ):
+        """The window the model's separate re-check step explores: the
+        holder completes after the releaser's re-check but before its
+        requeue write.  The redundant copy is requeued, and ``claim``
+        drops it instead of running the shard again."""
+        spec, lease = queue.claim(worker="w0", lease_seconds=60.0)
+        fail = queue.fail
+
+        def complete_then_fail(victim, error, **kwargs):
+            queue.complete(spec, {"tallies": np.ones(3)}, lease=lease)
+            return fail(victim, error, **kwargs)
+
+        monkeypatch.setattr(queue, "fail", complete_then_fail)
+        released = queue.release_expired(lease_seconds=0.0, now=FUTURE)
+        monkeypatch.undo()
+        assert released == [(spec.shard_id, "requeued")]
+        assert (queue.pending_dir / f"{spec.shard_id}.json").exists()
+        assert spec.shard_id not in drain(queue)
+        assert queue.is_complete()
+        assert not (queue.pending_dir / f"{spec.shard_id}.json").exists()
+
+    def test_result_written_but_spec_not_retired_is_retired(self, queue):
+        """The holder died inside ``complete``: the expired spec is
+        retired as ``complete`` would have, not requeued."""
+        spec, _lease = queue.claim(worker="w0", lease_seconds=0.0)
+        save_verified_npz(
+            queue.result_path(spec.shard_id), {"tallies": np.ones(3)}
+        )
+        released = queue.release_expired(lease_seconds=0.0, now=FUTURE)
+        assert released == []
+        assert not (queue.leased_dir / f"{spec.shard_id}.json").exists()
+        assert not (queue.leased_dir / f"{spec.shard_id}.lease.json").exists()
+        assert not (queue.pending_dir / f"{spec.shard_id}.json").exists()
+        drain(queue)
+        assert queue.is_complete()
+
+
+class TestReclaim:
+    """A killed run's leases go back to pending without counting an
+    attempt: a kill is not a failed shard."""
+
+    def test_reclaimed_shards_keep_their_attempt_count(self, queue):
+        for _ in range(3):  # three runs killed while holding the shard
+            spec, _lease = queue.claim(worker="killed", lease_seconds=60.0)
+            assert queue.reclaim() == [spec.shard_id]
+        assert not list(queue.leased_dir.iterdir())
+        again = queue._read_spec(queue.pending_dir / f"{spec.shard_id}.json")
+        assert again is not None and again.attempts == 0
+        drain(queue)
+        assert queue.is_complete() and queue.poisoned() == []
+
+    def test_completed_shard_is_retired_not_requeued(self, queue):
+        spec, _lease = queue.claim(worker="w0", lease_seconds=60.0)
+        save_verified_npz(
+            queue.result_path(spec.shard_id), {"tallies": np.ones(3)}
+        )
+        assert queue.reclaim() == []
+        assert not list(queue.leased_dir.iterdir())
+        assert not (queue.pending_dir / f"{spec.shard_id}.json").exists()
+
+
 class TestScheduleIndependentMerge:
     """Q314 class: the merged table must not depend on attempt history."""
 

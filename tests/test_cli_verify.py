@@ -49,6 +49,15 @@ class TestVerifyCLI:
         (store_tree / "weights" / "resnet14_mini.npz").unlink()
         assert main(["--artifacts", str(store_tree)]) == 1
 
+    def test_missing_artifact_listed_only_in_the_log_fails(self, tmp_path):
+        """A shard queue's ``done/`` keeps its checksums in
+        ``MANIFEST.log``; a listed result that vanished is still found."""
+        done = tmp_path / "q" / "done"
+        save_verified_npz(done / "s0.npz", {"x": np.arange(3)}, append=True)
+        assert main(["--artifacts", str(tmp_path)]) == 0
+        (done / "s0.npz").unlink()
+        assert main(["--artifacts", str(tmp_path)]) == 1
+
     def test_unlisted_but_valid_artifact_passes(self, store_tree, capsys):
         extra = store_tree / "weights" / "handmade.npz"
         np_arrays = {"x": np.arange(4)}

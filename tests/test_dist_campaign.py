@@ -52,7 +52,7 @@ def campaign_setup():
 @pytest.fixture(scope="module")
 def serial_table(campaign_setup):
     engine, space = campaign_setup
-    return OutcomeTable.from_exhaustive(engine, space, workers=1)
+    return OutcomeTable.from_exhaustive(engine, space)
 
 
 def assert_tables_identical(a: OutcomeTable, b: OutcomeTable) -> None:

@@ -47,7 +47,7 @@ def campaign_setup():
 @pytest.fixture(scope="module")
 def serial_table(campaign_setup):
     engine, space = campaign_setup
-    return OutcomeTable.from_exhaustive(engine, space, workers=1)
+    return OutcomeTable.from_exhaustive(engine, space)
 
 
 def test_killed_worker_mid_shard_is_reassigned_and_merge_is_identical(

@@ -46,7 +46,7 @@ def campaign_setup():
 @pytest.fixture(scope="module")
 def serial_table(campaign_setup):
     engine, space = campaign_setup
-    return OutcomeTable.from_exhaustive(engine, space, workers=1)
+    return OutcomeTable.from_exhaustive(engine, space)
 
 
 def submitted_queue(tmp_path, campaign_setup, *, shards=4):

@@ -1,9 +1,10 @@
 """Campaign-level guarantees of the plan engine.
 
 The plan engine must be a drop-in replacement for the module engine in
-exhaustive campaigns: same tables bit-for-bit, same checkpoint/resume
-behaviour — and the two engines' artifacts must never silently mix
-(checkpoints are wiped, dist shards are refused).
+exhaustive campaigns: same tables bit-for-bit, same kill/resume
+behaviour through the local fleet — and the two engines' artifacts must
+never silently mix (a foreign queue is refused or discarded, dist shards
+are refused).
 """
 
 from __future__ import annotations
@@ -15,14 +16,23 @@ from repro.data import SynthCIFAR
 from repro.dist import (
     DistError,
     ExhaustiveContext,
+    ShardQueue,
     exhaustive_config,
+    make_exhaustive_shards,
+    run_sharded_exhaustive,
     verify_context_config,
 )
 from repro.faults import FaultSpace, InferenceEngine, OutcomeTable
 from repro.ieee754 import FLOAT16
 from repro.models import ResNetCIFAR
 from repro.runtime import PlanEngine
-from repro.telemetry import Telemetry
+from repro.sfi.artifacts import _discard_stale_queue
+from repro.telemetry import (
+    Journal,
+    Telemetry,
+    fit_cost_model,
+    summarize_journal,
+)
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +54,7 @@ def campaign_setup():
 @pytest.fixture(scope="module")
 def module_table(campaign_setup):
     module_engine, _, space = campaign_setup
-    return OutcomeTable.from_exhaustive(module_engine, space, workers=1)
+    return OutcomeTable.from_exhaustive(module_engine, space)
 
 
 def assert_tables_identical(a: OutcomeTable, b: OutcomeTable) -> None:
@@ -68,14 +78,24 @@ class _KillAfter:
             raise KeyboardInterrupt("simulated kill")
 
 
+def run_fleet(engine, space, root, *, telemetry=None):
+    """The cold-cache campaign: one shard per cell, two workers."""
+    return run_sharded_exhaustive(
+        engine,
+        space,
+        root,
+        shards=len(space.layers) * space.bits,
+        workers=2,
+        telemetry=telemetry,
+    )
+
+
 class TestPlanCampaign:
     def test_plan_table_is_bit_identical_to_module_table(
         self, campaign_setup, module_table
     ):
         _, plan_engine, space = campaign_setup
-        plan_table = OutcomeTable.from_exhaustive(
-            plan_engine, space, workers=1
-        )
+        plan_table = OutcomeTable.from_exhaustive(plan_engine, space)
         assert_tables_identical(module_table, plan_table)
         assert plan_table.metadata["inference_count"] == (
             module_table.metadata["inference_count"]
@@ -85,43 +105,45 @@ class TestPlanCampaign:
         self, campaign_setup, module_table, tmp_path
     ):
         _, plan_engine, space = campaign_setup
-        checkpoint = tmp_path / "plan.ckpt"
+        root = tmp_path / "plan.queue"
         with pytest.raises(KeyboardInterrupt):
-            OutcomeTable.from_exhaustive(
+            run_fleet(
                 plan_engine,
                 space,
-                checkpoint=checkpoint,
+                root,
                 telemetry=Telemetry(on_event=_KillAfter(3)),
-                progress_every=1,
             )
-        persisted = {p.stem for p in checkpoint.glob("*.npy")}
-        assert persisted, "kill happened before any chunk was persisted"
+        persisted = ShardQueue(root).done_ids()
+        assert persisted, "kill happened before any shard was done"
         assert len(persisted) < len(space.layers) * space.bits
 
-        resumed = OutcomeTable.from_exhaustive(
-            plan_engine, space, checkpoint=checkpoint
-        )
+        resumed = run_fleet(plan_engine, space, root)
         assert_tables_identical(module_table, resumed)
 
     def test_module_checkpoint_not_resumed_by_plan_engine(
         self, campaign_setup, module_table, tmp_path
     ):
-        """The checkpoint config embeds the engine kind: chunks written
-        under the module engine are discarded, not resumed, when a plan
-        engine reuses the path — and the rerun still matches."""
+        """The queue config embeds the engine kind: a queue a module
+        engine left behind is refused by a plan engine and discarded,
+        not resumed, by the cold-cache path — and the rerun matches."""
         module_engine, plan_engine, space = campaign_setup
-        checkpoint = tmp_path / "cross.ckpt"
+        root = tmp_path / "cross.queue"
         with pytest.raises(KeyboardInterrupt):
-            OutcomeTable.from_exhaustive(
+            run_fleet(
                 module_engine,
                 space,
-                checkpoint=checkpoint,
+                root,
                 telemetry=Telemetry(on_event=_KillAfter(2)),
-                progress_every=1,
             )
-        table = OutcomeTable.from_exhaustive(
-            plan_engine, space, checkpoint=checkpoint
+        with pytest.raises(DistError, match="different config"):
+            run_fleet(plan_engine, space, root)
+        _discard_stale_queue(
+            ShardQueue(root),
+            *make_exhaustive_shards(
+                plan_engine, space, shards=len(space.layers) * space.bits
+            ),
         )
+        table = run_fleet(plan_engine, space, root)
         assert_tables_identical(module_table, table)
 
 
@@ -129,20 +151,13 @@ class TestPlanTelemetry:
     def test_journal_carries_batching_metrics(self, campaign_setup, tmp_path):
         """repro-stats surfaces the plan engine's batching and op-cache
         effectiveness from the journal alone."""
-        from repro.telemetry import (
-            Journal,
-            Telemetry,
-            format_summary,
-            read_journal,
-            summarize_journal,
-        )
+        from repro.telemetry import format_summary, read_journal
 
         _, plan_engine, space = campaign_setup
         path = tmp_path / "plan.jsonl"
         OutcomeTable.from_exhaustive(
             plan_engine,
             space,
-            workers=1,
             telemetry=Telemetry(journal=Journal(path)),
         )
         events = read_journal(path)
@@ -156,6 +171,27 @@ class TestPlanTelemetry:
         assert summary.batched_faults_per_pass > 1.0
         assert 0.0 < summary.op_cache_hit_rate < 1.0
         assert "plan engine:" in format_summary(summary)
+
+    def test_cold_fleet_journal_fits_the_plan_engine(
+        self, campaign_setup, tmp_path
+    ):
+        """A cold-cache fleet run declares its engine and batch, so the
+        cost model fitted from its journal prices the plan engine at its
+        measured cost rather than rescaling module-engine times."""
+        _, plan_engine, space = campaign_setup
+        path = tmp_path / "fleet.jsonl"
+        run_fleet(
+            plan_engine,
+            space,
+            tmp_path / "q",
+            telemetry=Telemetry(journal=Journal(path)),
+        )
+        (summary,) = summarize_journal(path)
+        assert len(summary.cells) == len(space.layers) * space.bits
+        model = fit_cost_model([summary])
+        assert model.measured_engine == "plan"
+        assert model.measured_batch_size == plan_engine.batch_size
+        assert model.engine_scale("plan") == 1.0
 
 
 class TestDistRefusal:

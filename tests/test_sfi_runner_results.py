@@ -319,12 +319,19 @@ class TestStratumSubstreams:
         assert merged == serial
         assert merged_assumed == serial_assumed
 
-    def test_pool_workers_match_serial_run(self, random_oracle, space):
-        """CampaignRunner.run(workers=2) equals the serial run exactly."""
-        runner = CampaignRunner(random_oracle, space)
+    def test_pool_workers_match_serial_run(
+        self, random_oracle, space, tmp_path
+    ):
+        """A 2-worker local fleet (what ``repro-run --workers 2`` runs)
+        equals the serial CampaignRunner.run exactly."""
+        from repro.dist import run_sharded_campaign
+
         plan = DataUnawareSFI(0.05).plan(space)
-        serial = runner.run(plan, seed=11, workers=1)
-        pooled = runner.run(plan, seed=11, workers=2)
-        assert pooled.cell_tallies == serial.cell_tallies
-        assert pooled.assumed_p == serial.assumed_p
-        assert pooled.network_estimate() == serial.network_estimate()
+        serial = CampaignRunner(random_oracle, space).run(plan, seed=11)
+        fleet = run_sharded_campaign(
+            random_oracle, space, plan, tmp_path / "q",
+            seed=11, shards=8, workers=2,
+        )
+        assert fleet.cell_tallies == serial.cell_tallies
+        assert fleet.assumed_p == serial.assumed_p
+        assert fleet.network_estimate() == serial.network_estimate()

@@ -5,12 +5,12 @@ from __future__ import annotations
 import io
 import json
 import os
+import time
 
 import numpy as np
 import pytest
 
 from repro.store import (
-    CampaignCheckpoint,
     CorruptArtifactError,
     atomic_savez,
     atomic_write,
@@ -185,40 +185,6 @@ class TestSalvage:
         assert salvage_npz(path) == {}
 
 
-class TestCampaignCheckpoint:
-    CONFIG = {"model": "tiny", "policy": "accuracy_drop"}
-
-    def test_store_load_roundtrip(self, tmp_path):
-        ckpt = CampaignCheckpoint(tmp_path / "run.ckpt", config=self.CONFIG)
-        assert ckpt.completed() == set()
-        chunk = np.arange(12, dtype=np.uint8).reshape(6, 2)
-        ckpt.store("L000_B00", chunk)
-        assert ckpt.completed() == {"L000_B00"}
-        reopened = CampaignCheckpoint(tmp_path / "run.ckpt", config=self.CONFIG)
-        assert np.array_equal(reopened.load("L000_B00"), chunk)
-
-    def test_config_mismatch_wipes_stale_chunks(self, tmp_path):
-        first = CampaignCheckpoint(tmp_path / "run.ckpt", config=self.CONFIG)
-        first.store("L000_B00", np.zeros((4, 2), dtype=np.uint8))
-        changed = dict(self.CONFIG, policy="any_mismatch")
-        second = CampaignCheckpoint(tmp_path / "run.ckpt", config=changed)
-        assert second.completed() == set()
-        assert second.load("L000_B00") is None
-
-    def test_half_written_chunk_is_ignored(self, tmp_path):
-        ckpt = CampaignCheckpoint(tmp_path / "run.ckpt", config=self.CONFIG)
-        ckpt.store("L000_B00", np.zeros((4, 2), dtype=np.uint8))
-        chunk_path = tmp_path / "run.ckpt" / "L000_B00.npy"
-        chunk_path.write_bytes(chunk_path.read_bytes()[:10])
-        assert ckpt.load("L000_B00") is None
-
-    def test_discard(self, tmp_path):
-        ckpt = CampaignCheckpoint(tmp_path / "run.ckpt", config=self.CONFIG)
-        ckpt.store("L000_B00", np.zeros((4, 2), dtype=np.uint8))
-        ckpt.discard()
-        assert not (tmp_path / "run.ckpt").exists()
-
-
 class TestManifestFormat:
     def test_manifest_is_sorted_versioned_json(self, tmp_path):
         save_verified_npz(tmp_path / "b.npz", {"x": np.arange(3)})
@@ -227,3 +193,92 @@ class TestManifestFormat:
             payload = json.load(stream)
         assert payload["version"] == 1
         assert list(payload["artifacts"]) == ["a.npz", "b.npz"]
+
+
+class TestConcurrentManifestWriters:
+    @staticmethod
+    def fork_writers(directory, *, append: bool) -> None:
+        """More writers than cores saving into one directory (a local
+        fleet completing shards into ``done/``); asserts every entry
+        landed."""
+        writers, per_writer = (os.cpu_count() or 1) + 1, 40
+        pids = []
+        for writer in range(writers):
+            pid = os.fork()
+            if pid == 0:  # child: write, then leave without cleanup
+                code = 0
+                try:
+                    for i in range(per_writer):
+                        save_verified_npz(
+                            directory / f"w{writer}_{i:03d}.npz",
+                            {"x": np.full(4, i, dtype=np.int64)},
+                            append=append,
+                        )
+                except BaseException:
+                    code = 1
+                os._exit(code)
+            pids.append(pid)
+        deadline = time.monotonic() + 120.0
+        codes = {}
+        while len(codes) < len(pids) and time.monotonic() < deadline:
+            for pid in pids:
+                if pid not in codes:
+                    done, status = os.waitpid(pid, os.WNOHANG)
+                    if done:
+                        codes[pid] = os.waitstatus_to_exitcode(status)
+            time.sleep(0.01)
+        for pid in pids:
+            if pid not in codes:
+                os.kill(pid, 9)
+                os.waitpid(pid, 0)
+        assert sorted(codes.values()) == [0] * writers, "a writer hung or failed"
+        files = sorted(p.name for p in directory.glob("*.npz"))
+        assert len(files) == writers * per_writer
+        assert sorted(load_manifest(directory)) == files
+        report = verify_directory(directory)
+        assert report.clean and not report.unlisted
+
+    def test_forked_writers_lose_no_manifest_entry(self, tmp_path):
+        self.fork_writers(tmp_path, append=False)
+
+    def test_forked_appending_writers_lose_no_manifest_entry(self, tmp_path):
+        self.fork_writers(tmp_path, append=True)
+        assert (tmp_path / "MANIFEST.log").is_file()
+
+
+class TestManifestLog:
+    """``append=True`` records into ``MANIFEST.log`` at constant cost."""
+
+    def test_appended_entries_verify_and_catch_tampering(self, tmp_path):
+        for name in ("a.npz", "b.npz"):
+            save_verified_npz(tmp_path / name, {"x": np.arange(3)}, append=True)
+        assert not (tmp_path / "MANIFEST.json").exists()
+        assert sorted(load_manifest(tmp_path)) == ["a.npz", "b.npz"]
+        atomic_savez(tmp_path / "b.npz", x=np.arange(4))  # bypasses the store
+        report = verify_directory(tmp_path)
+        assert report.ok == ["a.npz"] and list(report.failed) == ["b.npz"]
+
+    def test_later_line_wins_and_torn_tail_is_skipped(self, tmp_path):
+        path = tmp_path / "a.npz"
+        save_verified_npz(path, {"x": np.arange(3)}, append=True)
+        save_verified_npz(path, {"x": np.arange(5)}, append=True)
+        with open(tmp_path / "MANIFEST.log", "a", encoding="utf-8") as log:
+            log.write('{"name": "b.npz", "sha2')  # a killed writer's line
+        assert sorted(load_manifest(tmp_path)) == ["a.npz"]
+        assert verify_artifact(path) is None
+
+    def test_rewrite_folds_the_log_into_the_manifest(self, tmp_path):
+        save_verified_npz(tmp_path / "a.npz", {"x": np.arange(3)}, append=True)
+        save_verified_npz(tmp_path / "b.npz", {"x": np.arange(3)})
+        assert not (tmp_path / "MANIFEST.log").exists()
+        with open(tmp_path / "MANIFEST.json", encoding="utf-8") as stream:
+            assert sorted(json.load(stream)["artifacts"]) == ["a.npz", "b.npz"]
+
+    def test_preloaded_entries_verify_like_a_fresh_read(self, tmp_path):
+        path = tmp_path / "a.npz"
+        save_verified_npz(path, {"x": np.arange(3)}, append=True)
+        entries = load_manifest(tmp_path)
+        assert load_verified_npz(path, entries=entries)["x"].tolist() == [0, 1, 2]
+        atomic_savez(path, x=np.arange(4))
+        with pytest.raises(CorruptArtifactError):
+            load_verified_npz(path, entries=entries)

@@ -1,10 +1,11 @@
 """Telemetry wired through real exhaustive campaigns.
 
-These are the acceptance tests for the observability PR: a mini campaign
-run with a journal must yield per-(layer, bit) cell wall times, overall
-faults/sec, and worker utilisation via ``summarize_journal``; a killed +
-resumed campaign must journal a ``checkpoint_resume`` event while the
-output table stays bit-identical to an uninterrupted run.
+A mini campaign run with a journal must yield per-(layer, bit) cell
+wall times, overall faults/sec, and worker utilisation via
+``summarize_journal`` — serially and through the local worker fleet,
+whose workers share the parent's journal; a killed + resumed fleet
+campaign must journal a ``checkpoint_resume`` event while the output
+table stays bit-identical to an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.data import SynthCIFAR
+from repro.dist import ShardQueue, run_sharded_exhaustive
 from repro.faults import FaultSpace, InferenceEngine, OutcomeTable
 from repro.ieee754 import FLOAT16
 from repro.models import ResNetCIFAR
@@ -24,6 +26,7 @@ from repro.telemetry import (
     read_journal,
     summarize_journal,
 )
+from repro.telemetry.events import Event
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +43,7 @@ def campaign_setup():
 @pytest.fixture(scope="module")
 def serial_table(campaign_setup):
     engine, space = campaign_setup
-    return OutcomeTable.from_exhaustive(engine, space, workers=1)
+    return OutcomeTable.from_exhaustive(engine, space)
 
 
 def assert_tables_identical(a: OutcomeTable, b: OutcomeTable) -> None:
@@ -49,10 +52,24 @@ def assert_tables_identical(a: OutcomeTable, b: OutcomeTable) -> None:
         assert np.array_equal(left, right)
 
 
-def run_with_journal(engine, space, path, *, workers=1, **kwargs):
+def run_with_journal(engine, space, path, **kwargs):
     telemetry = Telemetry(journal=Journal(path))
     table = OutcomeTable.from_exhaustive(
-        engine, space, workers=workers, telemetry=telemetry, **kwargs
+        engine, space, telemetry=telemetry, **kwargs
+    )
+    return table, telemetry, read_journal(path)
+
+
+def fleet_with_journal(engine, space, path, root, *, workers=2, on_event=None):
+    """The cold-cache campaign (one shard per cell) journaling to *path*."""
+    telemetry = Telemetry(journal=Journal(path), on_event=on_event)
+    table = run_sharded_exhaustive(
+        engine,
+        space,
+        root,
+        shards=len(space.layers) * space.bits,
+        workers=workers,
+        telemetry=telemetry,
     )
     return table, telemetry, read_journal(path)
 
@@ -123,7 +140,9 @@ class TestParallelCampaignJournal:
     ):
         engine, space = campaign_setup
         path = tmp_path / "parallel.jsonl"
-        table, _, events = run_with_journal(engine, space, path, workers=2)
+        table, _, events = fleet_with_journal(
+            engine, space, path, tmp_path / "q"
+        )
         assert_tables_identical(serial_table, table)
 
         cells_total = len(space.layers) * space.bits
@@ -144,7 +163,13 @@ class TestParallelCampaignJournal:
     def test_summary_reconstructs_campaign(self, campaign_setup, tmp_path):
         engine, space = campaign_setup
         path = tmp_path / "summary.jsonl"
-        run_with_journal(engine, space, path, workers=2)
+        _, telemetry, _ = fleet_with_journal(engine, space, path, tmp_path / "q")
+        # The parent's metrics snapshot keeps the campaign totals.
+        cells_total = len(space.layers) * space.bits
+        metrics = telemetry.metrics
+        assert metrics.counter("campaign.cells_computed").value == cells_total
+        assert metrics.counter("campaign.cells_resumed").value == 0
+        assert metrics.gauge("campaign.workers").value == 2
 
         summaries = summarize_journal(path)
         assert len(summaries) == 1
@@ -157,7 +182,8 @@ class TestParallelCampaignJournal:
         assert summary.faults_classified == space.total_population
         assert summary.faults_per_second > 0
         assert summary.inferences_per_second > 0
-        assert summary.checkpoint_writes == 0
+        assert not summary.resumed
+        assert summary.info["engine"] == "module"
 
         assert summary.workers, "no per-worker stats reconstructed"
         for worker in summary.workers:
@@ -191,33 +217,28 @@ class TestResumeJournal:
         self, campaign_setup, serial_table, tmp_path
     ):
         engine, space = campaign_setup
-        checkpoint = tmp_path / "campaign.ckpt"
+        root = tmp_path / "q"
         path = tmp_path / "resume.jsonl"
 
-        first = Telemetry(
-            journal=Journal(path), on_event=_KillAfter(3)
-        )
+        first = Telemetry(journal=Journal(path), on_event=_KillAfter(3))
         with pytest.raises(KeyboardInterrupt):
-            OutcomeTable.from_exhaustive(
+            run_sharded_exhaustive(
                 engine,
                 space,
-                checkpoint=checkpoint,
+                root,
+                shards=len(space.layers) * space.bits,
+                workers=2,
                 telemetry=first,
-                progress_every=1,
             )
+        finished = len(ShardQueue(root).done_ids())
         killed_events = read_journal(path)
-        written = [e for e in killed_events if e.type == "checkpoint_write"]
-        assert written, "kill happened before any chunk was persisted"
-        assert all(e.fields["bytes"] > 0 for e in written)
+        assert finished, "kill happened before any shard was done"
         # Killed run: campaign_start but no campaign_end.
         first_run = [e for e in killed_events if e.run_id == first.run_id]
         assert first_run[0].type == "campaign_start"
         assert "campaign_end" not in {e.type for e in first_run}
 
-        second = Telemetry(journal=Journal(path))
-        resumed = OutcomeTable.from_exhaustive(
-            engine, space, checkpoint=checkpoint, telemetry=second
-        )
+        resumed, second, _ = fleet_with_journal(engine, space, path, root)
         assert_tables_identical(serial_table, resumed)
 
         events = [
@@ -226,14 +247,14 @@ class TestResumeJournal:
         resume = [e for e in events if e.type == "checkpoint_resume"]
         assert len(resume) == 1
         cells_total = len(space.layers) * space.bits
-        assert resume[0].fields["cells_resumed"] == len(written)
+        assert resume[0].fields["cells_resumed"] == finished
         assert resume[0].fields["cells_total"] == cells_total
         assert 0 < resume[0].fields["cells_resumed"] < cells_total
         # Only the remaining cells were recomputed.
         done = [e for e in events if e.type == "cell_done"]
-        assert len(done) == cells_total - len(written)
+        assert len(done) == cells_total - finished
         end = [e for e in events if e.type == "campaign_end"]
-        assert end and end[0].fields["cells_resumed"] == len(written)
+        assert end and end[0].fields["cells_resumed"] == finished
 
         summary = next(
             s
@@ -241,10 +262,32 @@ class TestResumeJournal:
             if s.run_id == second.run_id
         )
         assert summary.resumed
-        assert summary.cells_resumed == len(written)
+        assert summary.cells_resumed == finished
         assert summary.resume_hit_rate == pytest.approx(
-            len(written) / cells_total
+            finished / cells_total
         )
+
+    def test_checkpoint_write_journal_still_summarises(self, tmp_path):
+        """Journals of releases that kept a per-cell checkpoint directory
+        (``checkpoint_write`` events) read back and summarise."""
+        path = tmp_path / "old.jsonl"
+        journal = Journal(path, run_id="oldrun")
+        for event in (
+            Event.now("campaign_start", "oldrun", kind="exhaustive",
+                      total=8, cells_total=2, engine="module"),
+            Event.now("checkpoint_resume", "oldrun", cells_resumed=1,
+                      cells_total=2, faults_resumed=4),
+            Event.now("cell_done", "oldrun", layer=0, bit=1, seconds=0.5,
+                      faults=4, inferences=2),
+            Event.now("checkpoint_write", "oldrun", key="L000_B01", bytes=96),
+            Event.now("campaign_end", "oldrun", elapsed_seconds=1.0, faults=8),
+        ):
+            journal.append(event)
+        (summary,) = summarize_journal(path)
+        assert summary.finished and summary.resumed
+        assert summary.cells_resumed == 1
+        assert summary.resume_hit_rate == pytest.approx(0.5)
+        assert summary.faults_classified == 4
 
 
 class TestEngineTelemetry:

@@ -73,8 +73,8 @@ def all_layer_faults(engine, *, bits=None) -> list[Fault]:
 class TestBitIdentity:
     def test_exhaustive_table_is_bit_identical(self, tiny_setup):
         oracle, engine, space = tiny_setup
-        table_oracle = OutcomeTable.from_exhaustive(oracle, space, workers=1)
-        table_plan = OutcomeTable.from_exhaustive(engine, space, workers=1)
+        table_oracle = OutcomeTable.from_exhaustive(oracle, space)
+        table_plan = OutcomeTable.from_exhaustive(engine, space)
         for left, right in zip(table_oracle.outcomes, table_plan.outcomes):
             assert left.dtype == right.dtype == np.uint8
             assert np.array_equal(left, right)
